@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -122,6 +123,8 @@ class Seeding:
     leaf_order: tuple[int, ...]
 
     def __post_init__(self):
+        # plain ints: numpy integers overflow in the bit shifts of ``beats``
+        object.__setattr__(self, "leaf_order", tuple(map(operator.index, self.leaf_order)))
         n = len(self.leaf_order)
         if not _is_power_of_two(n):
             raise ValueError(f"leaf count {n} is not a power of two")

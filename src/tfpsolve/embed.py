@@ -3,18 +3,18 @@
 The engine answers: does the host contain a copy of a rooted tree pattern,
 with the pattern root pinned to a distinguished host vertex, all arcs running
 parent to child, and all image vertices carrying pairwise distinct colors?
-It runs a bottom-up DP whose state per (pattern node, host vertex) is the
+It is one bottom-up DP whose state per (subtree shape, host vertex) is the
 family of usable color sets, kept as bitmasks, so the work is bounded by
-2**num_colors times a polynomial in the host size.
+2**num_colors times a polynomial in the host size.  The DP is bit-packed: it
+decides many colorings of the same pattern/host at once, 64 per machine word.
+``embed_colorful_tree`` runs it on a single coloring and rebuilds a witness
+by backtracking through the families, recomputing the merge stages at each
+host vertex it visits.
 
-Two specializations live here as well:
-
-* a bit-packed batch evaluator that decides many colorings of the same
-  pattern/host at once (64 per machine word), and
-* ``solve_exact``, which runs the identity coloring.  There a color set IS a
-  player set, so the per-(node, vertex) families collapse into one word per
-  subset of players: bit u of ``winners[S]`` says u can win a bracket on
-  exactly S.  That keeps the spanning-arborescence search at 2**n words.
+``solve_exact`` runs the identity coloring.  There a color set IS a player
+set, so the per-(node, vertex) families collapse into one word per subset of
+players: bit u of ``winners[S]`` says u can win a bracket on exactly S.  That
+keeps the spanning-arborescence search at 2**n words.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ __all__ = [
     "embed_colorful_tree",
     "solve_exact",
 ]
-
-DEFAULT_MAX_COLORS = 24
 
 
 @dataclass(frozen=True)
@@ -150,116 +148,8 @@ class Embedding:
     mapping: dict[int, int]
 
 
-def _run_dp(pattern: PatternTree, host: HostGraph, d: int, col: Coloring):
-    """Families of color masks per (pattern node, host vertex), plus back-pointers.
-
-    Families at the pattern root are only evaluated at host vertex d.  Every
-    merge stage records, per merged mask, the (prefix mask, child host, child
-    mask) that first produced it, which is enough to rebuild one witness.
-    """
-    colbit = [col.color_of[v] - 1 for v in range(host.n)]
-    out = [host.out_list(u) for u in range(host.n)]
-    children = pattern.children
-    fam: dict[int, dict[int, set[int]]] = {}
-    back: dict[tuple[int, int, int], dict[int, tuple[int, int, int]]] = {}
-    for x in pattern.postorder:
-        hosts = [d] if x == pattern.root else list(range(host.n))
-        fx: dict[int, set[int]] = {}
-        for h in hosts:
-            cur: set[int] = {1 << colbit[h]}
-            for i, y in enumerate(children[x]):
-                reach: dict[int, int] = {}
-                fy = fam[y]
-                for h2 in out[h]:
-                    for m2 in sorted(fy[h2]):
-                        reach.setdefault(m2, h2)
-                stage: dict[int, tuple[int, int, int]] = {}
-                for s1 in sorted(cur):
-                    for m2, h2 in reach.items():
-                        if s1 & m2:
-                            continue
-                        merged = s1 | m2
-                        if merged not in stage:
-                            stage[merged] = (s1, h2, m2)
-                back[(x, i, h)] = stage
-                cur = set(stage)
-                if not cur:
-                    break
-            fx[h] = cur
-        fam[x] = fx
-    return fam, back
-
-
-def _dp_families(pattern, host, f, d, col):
-    """Test hook: the raw DP families (root family evaluated at d only)."""
-    fam, _ = _run_dp(pattern, host, d, col)
-    return fam
-
-
-def _check_embedding(pattern, host, f, d, col, emb: Embedding) -> None:
-    m = emb.mapping
-    assert set(m) == set(range(pattern.n)), "embedding must cover the pattern"
-    assert m[f] == d, "root must land on the distinguished vertex"
-    images = list(m.values())
-    assert len(set(images)) == len(images), "embedding must be injective"
-    colors = [col.color_of[h] for h in images]
-    assert len(set(colors)) == len(colors), "image colors must be distinct"
-    for x, p in enumerate(pattern.parents):
-        if p >= 0:
-            assert host.out_masks[m[p]] >> m[x] & 1, "pattern arc missing in host"
-
-
-def embed_colorful_tree(
-    pattern: PatternTree,
-    host: HostGraph,
-    f: int,
-    d: int,
-    col: Coloring,
-    *,
-    max_colors: int = DEFAULT_MAX_COLORS,
-) -> Embedding | None:
-    """Find a color-injective copy of ``pattern`` whose root lands on ``d``.
-
-    Returns one witness embedding, or None when no colorful copy exists.  The
-    search is exact; the answer is one-sided only in the sense that callers
-    sampling colorings may miss copies that their coloring does not make
-    colorful.  ``max_colors`` guards the 2**num_colors DP width.
-    """
-    if f != pattern.root:
-        raise ValueError("distinguished pattern node must be the pattern root")
-    if not 0 <= d < host.n:
-        raise ValueError(f"distinguished host vertex {d} out of range")
-    for v in range(host.n):
-        if v not in col.color_of:
-            raise ValueError(f"coloring misses host vertex {v}")
-    if col.num_colors > max_colors:
-        raise ValueError(
-            f"coloring uses {col.num_colors} colors, above the DP budget {max_colors}"
-        )
-
-    fam, back = _run_dp(pattern, host, d, col)
-    masks = fam[pattern.root][d]
-    if not masks:
-        return None
-    mapping: dict[int, int] = {}
-
-    def rebuild(x: int, h: int, mask: int) -> None:
-        mapping[x] = h
-        kids = pattern.children[x]
-        m = mask
-        for i in reversed(range(len(kids))):
-            s1, h2, m2 = back[(x, i, h)][m]
-            rebuild(kids[i], h2, m2)
-            m = s1
-
-    rebuild(pattern.root, d, min(masks))
-    emb = Embedding(mapping)
-    _check_embedding(pattern, host, f, d, col, emb)
-    return emb
-
-
 # ---------------------------------------------------------------------------
-# Batched decisions: many colorings of one pattern/host, bit-packed.
+# The DP, bit-packed: many colorings of one pattern/host, 64 per word.
 
 _BATCH_MAX_COLORS = 20
 
@@ -305,6 +195,96 @@ def _shape_keys(pattern: PatternTree) -> list[tuple]:
     return keys
 
 
+def _merge(cur: np.ndarray, reach: np.ndarray, pairs) -> np.ndarray:
+    """Fold one child's reached family into a prefix family (last axis: color sets)."""
+    new = np.zeros_like(cur)
+    for s1, s2, un in pairs:
+        new[..., un] |= cur[..., s1] & reach[..., s2]
+    return new
+
+
+class _PackedDp:
+    """The DP's families for a [B, H] array of 0-based colors.
+
+    Bit j of ``fam[x][w, h, m]`` says that coloring 64w+j admits a colorful
+    copy of the subtree of node x rooted at host vertex h on exactly the color
+    set m.  Nodes with identical subtree shapes share one array.  The root is
+    evaluated only at single host vertices, by ``stages``.
+    """
+
+    def __init__(
+        self, pattern: PatternTree, host: HostGraph, color_idx: np.ndarray, num_colors: int
+    ):
+        if num_colors > _BATCH_MAX_COLORS:
+            raise ValueError(f"batch DP capped at {_BATCH_MAX_COLORS} colors")
+        B, H = color_idx.shape
+        if H != host.n:
+            raise ValueError("color array width must match the host")
+        C = num_colors
+        M = 1 << C
+        padded_rows = -(-B // 64) * 64
+        W = padded_rows // 64
+        idx = np.full((padded_rows, H), -1, dtype=np.int32)
+        idx[:B] = color_idx
+
+        base = np.zeros((W, H, M), np.uint64)
+        for c in range(C):
+            base[:, :, 1 << c] = _pack_bits(idx == c)
+
+        keys = _shape_keys(pattern)
+        sizes = pattern.subtree_sizes
+        size_of = {keys[x]: sizes[x] for x in range(pattern.n)}
+        out_lists = [host.out_list(u) for u in range(host.n)]
+
+        def reach_of(child_fam: np.ndarray) -> np.ndarray:
+            r = np.zeros_like(child_fam)
+            for h in range(H):
+                if out_lists[h]:
+                    r[:, h, :] = np.bitwise_or.reduce(child_fam[:, out_lists[h], :], axis=1)
+            return r
+
+        fam: dict[tuple, np.ndarray] = {(): base}
+        reach_memo: dict[tuple, np.ndarray] = {}
+        inner = sorted(
+            {keys[x] for x in range(pattern.n) if x != pattern.root and keys[x] != ()},
+            key=lambda kk: size_of[kk],
+        )
+        for key in inner:
+            cur = base
+            acc = 1
+            for ck in key:
+                if ck not in reach_memo:
+                    reach_memo[ck] = reach_of(fam[ck])
+                cur = _merge(cur, reach_memo[ck], _disjoint_pairs(C, acc, size_of[ck]))
+                acc += size_of[ck]
+            fam[key] = cur
+        self.pattern = pattern
+        self.host = host
+        self.num_colors = C
+        self.base = base
+        self.fam = [fam.get(key) for key in keys]
+
+    def stages(self, x: int, h: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Merge stages of node x at host vertex h, children in pattern order.
+
+        Returns ``(prefixes, reaches)`` of [W, 2**C] arrays: ``prefixes[0]`` is
+        h's own color, and ``prefixes[i + 1]`` folds in child i, whose family
+        reached over the arcs out of h is ``reaches[i]``.
+        """
+        out_h = self.host.out_list(h)
+        cur = self.base[:, h, :]
+        prefixes, reaches = [cur], []
+        acc = 1
+        for c in self.pattern.children[x]:
+            reach = np.bitwise_or.reduce(self.fam[c][:, out_h, :], axis=1)  # 0 if no arcs
+            size = self.pattern.subtree_sizes[c]
+            cur = _merge(cur, reach, _disjoint_pairs(self.num_colors, acc, size))
+            acc += size
+            prefixes.append(cur)
+            reaches.append(reach)
+        return prefixes, reaches
+
+
 def _decide_colorful_batch(
     pattern: PatternTree,
     host: HostGraph,
@@ -312,80 +292,75 @@ def _decide_colorful_batch(
     color_idx: np.ndarray,
     num_colors: int,
 ) -> np.ndarray:
-    """Per-coloring embedding decisions for a [B, H] array of 0-based colors.
+    """Per-coloring embedding decisions for a [B, H] array of 0-based colors."""
+    prefixes, _ = _PackedDp(pattern, host, color_idx, num_colors).stages(pattern.root, d)
+    return _unpack_bits(np.bitwise_or.reduce(prefixes[-1], axis=1), color_idx.shape[0])
 
-    Exactly the engine's DP with a batch dimension bit-packed 64 colorings per
-    word; identical subtree shapes are evaluated once and the root only at d.
+
+def _check_embedding(pattern, host, f, d, col, emb: Embedding) -> None:
+    m = emb.mapping
+    if set(m) != set(range(pattern.n)):
+        raise AssertionError("embedding must cover the pattern")
+    if m[f] != d:
+        raise AssertionError("root must land on the distinguished vertex")
+    images = list(m.values())
+    if len(set(images)) != len(images):
+        raise AssertionError("embedding must be injective")
+    colors = [col.color_of[h] for h in images]
+    if len(set(colors)) != len(colors):
+        raise AssertionError("image colors must be distinct")
+    for x, p in enumerate(pattern.parents):
+        if p >= 0 and not host.out_masks[m[p]] >> m[x] & 1:
+            raise AssertionError("pattern arc missing in host")
+
+
+def embed_colorful_tree(
+    pattern: PatternTree, host: HostGraph, f: int, d: int, col: Coloring
+) -> Embedding | None:
+    """Find a color-injective copy of ``pattern`` whose root lands on ``d``.
+
+    Returns one witness embedding, or None when no colorful copy exists.  The
+    search is exact; the answer is one-sided only in the sense that callers
+    sampling colorings may miss copies that their coloring does not make
+    colorful.  The witness uses the least root color set; each merge, from
+    the last child back, takes the least prefix color set and then the first
+    out-neighbor whose child family holds the remaining colors.
     """
-    if num_colors > _BATCH_MAX_COLORS:
-        raise ValueError(f"batch DP capped at {_BATCH_MAX_COLORS} colors")
-    B, H = color_idx.shape
-    if H != host.n:
-        raise ValueError("color array width must match the host")
-    C = num_colors
-    M = 1 << C
-    padded_rows = -(-B // 64) * 64
-    W = padded_rows // 64
-    idx = np.full((padded_rows, H), -1, dtype=np.int32)
-    idx[:B] = color_idx
+    if f != pattern.root:
+        raise ValueError("distinguished pattern node must be the pattern root")
+    if not 0 <= d < host.n:
+        raise ValueError(f"distinguished host vertex {d} out of range")
+    for v in range(host.n):
+        if v not in col.color_of:
+            raise ValueError(f"coloring misses host vertex {v}")
 
-    base = np.zeros((W, H, M), np.uint64)
-    for c in range(C):
-        base[:, :, 1 << c] = _pack_bits(idx == c)
+    row = np.array([[col.color_of[v] - 1 for v in range(host.n)]], np.int32)
+    dp = _PackedDp(pattern, host, row, col.num_colors)
+    mapping: dict[int, int] = {}
 
-    keys = _shape_keys(pattern)
-    sizes = pattern.subtree_sizes
-    size_of = {keys[x]: sizes[x] for x in range(pattern.n)}
-    out_lists = [host.out_list(u) for u in range(host.n)]
+    # one coloring sits in bit 0 and the padding bits are zero, so a word is
+    # nonzero exactly when that coloring's bit is set
+    def rebuild(x: int, h: int, mask: int, stages) -> None:
+        mapping[x] = h
+        prefixes, reaches = stages
+        kids = pattern.children[x]
+        out_h = host.out_list(h)
+        for i in reversed(range(len(kids))):
+            reach = reaches[i][0] != 0
+            s1s = np.flatnonzero(prefixes[i][0])  # ascending color sets
+            s1 = int(s1s[((s1s & mask) == s1s) & reach[s1s ^ mask]][0])
+            h2 = next(v for v in out_h if dp.fam[kids[i]][0, v, mask ^ s1])
+            rebuild(kids[i], h2, mask ^ s1, dp.stages(kids[i], h2))
+            mask = s1
 
-    def reach_of(child_fam: np.ndarray) -> np.ndarray:
-        r = np.zeros_like(child_fam)
-        for h in range(H):
-            if out_lists[h]:
-                r[:, h, :] = np.bitwise_or.reduce(child_fam[:, out_lists[h], :], axis=1)
-        return r
-
-    fam: dict[tuple, np.ndarray] = {(): base}
-    reach_memo: dict[tuple, np.ndarray] = {}
-    inner = sorted(
-        {keys[x] for x in range(pattern.n) if x != pattern.root and keys[x] != ()},
-        key=lambda kk: size_of[kk],
-    )
-    for key in inner:
-        cur = base
-        acc = 1
-        for ck in key:
-            if ck not in reach_memo:
-                reach_memo[ck] = reach_of(fam[ck])
-            reach = reach_memo[ck]
-            new = np.zeros((W, H, M), np.uint64)
-            for s1, s2, un in _disjoint_pairs(C, acc, size_of[ck]):
-                new[:, :, un] |= cur[:, :, s1] & reach[:, :, s2]
-            cur = new
-            acc += size_of[ck]
-        fam[key] = cur
-
-    # root: evaluated at the distinguished vertex only
-    cur_d = base[:, d, :]
-    acc = 1
-    out_d = out_lists[d]
-    for ck in keys[pattern.root]:
-        child_fam = fam[ck]
-        reach_d = (
-            np.bitwise_or.reduce(child_fam[:, out_d, :], axis=1)
-            if out_d
-            else np.zeros((W, M), np.uint64)
-        )
-        new = np.zeros((W, M), np.uint64)
-        for s1, s2, un in _disjoint_pairs(C, acc, size_of[ck]):
-            new[:, un] |= cur_d[:, s1] & reach_d[:, s2]
-        cur_d = new
-        acc += size_of[ck]
-
-    dec = np.zeros(W, np.uint64)
-    for m in _masks_of_popcount(C, pattern.n):
-        dec |= cur_d[:, m]
-    return _unpack_bits(dec, B)
+    stages = dp.stages(pattern.root, d)
+    masks = np.flatnonzero(stages[0][-1][0])
+    if not masks.size:
+        return None
+    rebuild(pattern.root, d, int(masks[0]), stages)
+    emb = Embedding(mapping)
+    _check_embedding(pattern, host, f, d, col, emb)
+    return emb
 
 
 # ---------------------------------------------------------------------------

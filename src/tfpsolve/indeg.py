@@ -224,24 +224,25 @@ def find_wwf(t: Tournament, cfg: IndegConfig = IndegConfig()) -> Wwf | None:
             j = int(np.argmax(hits))
             col = extend_coloring(_coloring_from_draw(t, draws[j]), d)
             emb = embed_colorful_tree(pattern, host, pattern.root, d, col)
-            assert emb is not None, "batch decision disagreed with the engine"
+            if emb is None:
+                raise AssertionError("batch decision disagreed with the engine")
             wwf = _wwf_from_embedding(t, pattern, emb, k)
             from .oracles import is_wwf
 
-            assert is_wwf(t, wwf), "embedded forest failed the witness checks"
+            if not is_wwf(t, wwf):
+                raise AssertionError("embedded forest failed the witness checks")
             return wwf
     return None
 
 
 def _assert_mergeable(t: Tournament, trees: list[Lba]) -> None:
     roots = [tree.root for tree in trees]
-    assert len(trees) % 2 == 0, "tree count must halve cleanly"
-    assert all(r not in t.in_neighbors for r in roots), (
-        "a merge root fell inside the favorite's in-set"
-    )
-    assert sum(r == t.vstar for r in roots) == 1, (
-        "the favorite must root exactly one tree"
-    )
+    if len(trees) % 2:
+        raise AssertionError("tree count must halve cleanly")
+    if any(r in t.in_neighbors for r in roots):
+        raise AssertionError("a merge root fell inside the favorite's in-set")
+    if sum(r == t.vstar for r in roots) != 1:
+        raise AssertionError("the favorite must root exactly one tree")
 
 
 def complete_wwf(t: Tournament, wwf: Wwf) -> Lba:
@@ -256,10 +257,12 @@ def complete_wwf(t: Tournament, wwf: Wwf) -> Lba:
     size = 1 << t.k
     covered: set[int] = set()
     for tree in wwf.trees:
-        assert covered.isdisjoint(tree.vertices), "witness trees overlap"
+        if not covered.isdisjoint(tree.vertices):
+            raise AssertionError("witness trees overlap")
         covered |= tree.vertices
     rest = sorted(set(t.players) - covered)
-    assert len(covered) == len(wwf.trees) * size, "witness trees have a wrong size"
+    if len(covered) != len(wwf.trees) * size:
+        raise AssertionError("witness trees have a wrong size")
     trees = list(wwf.trees)
     for lo in range(0, len(rest), size):
         trees.append(arbitrary_lba(t, rest[lo : lo + size]))
@@ -267,9 +270,12 @@ def complete_wwf(t: Tournament, wwf: Wwf) -> Lba:
         _assert_mergeable(t, trees)
         trees = [merge_lbas(t, trees[i], trees[i + 1]) for i in range(0, len(trees), 2)]
     final = trees[0]
-    assert final.root == t.vstar, "completion lost the favorite"
-    assert final.vertices == set(t.players), "completion does not span the field"
-    assert is_lba(t, final), "completion is not a valid bracket tree"
+    if final.root != t.vstar:
+        raise AssertionError("completion lost the favorite")
+    if final.vertices != set(t.players):
+        raise AssertionError("completion does not span the field")
+    if not is_lba(t, final):
+        raise AssertionError("completion is not a valid bracket tree")
     return final
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from conftest import T4_YES_TEXT, tournaments
 from hypothesis import given
@@ -11,6 +12,7 @@ from tfpsolve import (
     champion_of,
     format_tournament,
     format_trace,
+    gen_random,
     parse_tournament,
     seeding_from_sequence,
     simulate,
@@ -133,6 +135,13 @@ class TestSeeding:
         with pytest.raises(ValueError):
             Seeding((0, 1, 2))
         assert Seeding((3, 0, 2, 1)).n == 4
+
+    def test_accepts_numpy_integers(self):
+        # numpy integers used to overflow the bit shift in Tournament.beats
+        s = Seeding(tuple(np.arange(64)))
+        assert all(type(v) is int for v in s.leaf_order)
+        t = gen_random(64, 2, seed=0)
+        assert simulate(t, s) == simulate(t, Seeding(tuple(range(64))))
 
 
 class TestSimulation:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import tournaments
+from conftest import T4_YES_TEXT, tournaments
 from hypothesis import given, settings
 
+import tfpsolve
 from tfpsolve import (
     IndegConfig,
     Lba,
@@ -169,6 +174,23 @@ class TestCompleteWwf:
         bad = Wwf(trees=(Lba(root=2, parent={1: 2}),))  # 2 beats 0
         with pytest.raises(AssertionError):
             complete_wwf(t4_yes, bad)
+
+    def test_guard_survives_optimize_flag(self):
+        # the forest guards raise explicitly, so `python -O` keeps them
+        script = (
+            "from tfpsolve import Lba, Wwf, complete_wwf, parse_tournament\n"
+            f"t = parse_tournament({T4_YES_TEXT!r})\n"
+            "try:\n"
+            "    complete_wwf(t, Wwf(trees=(Lba(root=2, parent={1: 2}),)))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tfpsolve.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "a merge root fell inside the favorite's in-set\n"
 
     def test_empty_forest_spans_k0_instance(self):
         t = gen_random(8, 0, seed=3)
