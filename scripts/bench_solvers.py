@@ -1,8 +1,8 @@
 """Timing sweep across solvers and instance sizes.
 
-Generates seeded random (and planted) instances, times each applicable
-solver, and prints one row per (n, k, algo).  Exact is capped at n=16;
-the color-coding path needs k*2^k < n.
+Generates seeded random (and planted) instances, times each solver through
+``tfpsolve.solve``, and prints one row per (n, k, algo).  A cell that the
+feasibility gate rejects prints as ``skip`` with the limit that failed.
 
 Usage:
     python3 scripts/bench_solvers.py --reps 5 --seed 0
@@ -11,14 +11,7 @@ Usage:
 import argparse
 import time
 
-from tfpsolve import (
-    IndegConfig,
-    gen_planted_yes,
-    gen_random,
-    solve_exact,
-    solve_indeg,
-    solve_outdeg,
-)
+from tfpsolve import IndegConfig, gen_planted_yes, gen_random, solve
 
 SWEEP = [
     (8, 1), (8, 3),
@@ -54,17 +47,11 @@ def main() -> None:
                     continue
             else:
                 t = gen_random(n, k, seed=args.seed)
-            rows = []
-            if n <= 16:
-                rows.append(("exact", lambda: solve_exact(t)))
-            if n <= 16 or t.ell < t.num_rounds:
-                rows.append(("outdeg", lambda: solve_outdeg(t)))
             cfg = IndegConfig(rng_seed=args.seed, iteration_multiplier=args.multiplier)
-            rows.append(("indeg", lambda: solve_indeg(t, cfg)))
-            for name, fn in rows:
+            for name in ("exact", "outdeg", "indeg"):
                 try:
-                    ms, got = time_one(fn, args.reps)
-                except ValueError as exc:  # e.g. iteration budget past the cap
+                    ms, got = time_one(lambda: solve(t, name, cfg), args.reps)
+                except ValueError as exc:  # the feasibility gate
                     print(f"{n:>4} {k:>3} {kind:>8} {name:>7} {'skip':>8} {'-':>10}  ({exc})")
                     continue
                 verdict = "YES" if got is not None else "NO"

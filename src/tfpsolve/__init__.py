@@ -2,9 +2,10 @@
 
 Given a round-robin results table and a favorite player, the solvers here
 answer whether some bracket seeding crowns the favorite, and produce one
-when it exists.  See ``core`` for the instance format and simulation,
-``embed``/``indeg``/``outdeg`` for the solvers, ``oracles`` for exhaustive
-baselines, and ``cli`` for the command-line entry point.
+when it exists.  ``solve`` is the one solver entry point.  See ``core`` for
+the instance format and simulation, ``embed``/``indeg`` for the solvers,
+``oracles`` for exhaustive baselines, and ``cli`` for the command-line entry
+point.
 """
 
 from .arborescence import (
@@ -49,10 +50,11 @@ from .indeg import (
     complete_wwf,
     extend_coloring,
     find_wwf,
+    pick,
     sample_coloring,
-    solve_indeg,
+    solve,
 )
-from .instances import GenSpec, gen_planted_yes, gen_random, generate
+from .instances import gen_planted_yes, gen_random
 from .oracles import (
     NicenessReport,
     OracleLimitError,
@@ -64,14 +66,12 @@ from .oracles import (
     niceness,
     repair_to_nice,
 )
-from .outdeg import solve_outdeg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Coloring",
     "Embedding",
-    "GenSpec",
     "HostGraph",
     "IndegConfig",
     "KnockoutTrace",
@@ -101,7 +101,6 @@ __all__ = [
     "format_trace",
     "gen_planted_yes",
     "gen_random",
-    "generate",
     "is_lba",
     "is_wwf",
     "lba_to_seeding",
@@ -109,15 +108,15 @@ __all__ = [
     "niceness",
     "parse_lba",
     "parse_tournament",
+    "pick",
     "repair_to_nice",
     "sample_coloring",
     "seeding_from_sequence",
     "seeding_to_lba",
     "serialize_lba",
     "simulate",
+    "solve",
     "solve_exact",
-    "solve_indeg",
-    "solve_outdeg",
     "uba_shape",
     "validate_match_sequence",
 ]

@@ -4,7 +4,9 @@ Subcommands: ``decide`` (YES/NO), ``solve`` (YES plus a seeding and the match
 trace), ``gen`` (write a generated instance, plus a .witness sidecar when
 planted), ``verify-seeding`` (replay a seeding), ``check-structure``
 (niceness report and repair), ``bench`` (wall-clock table; timings are the
-one output that is not reproducible byte-for-byte).
+one output that is not reproducible byte-for-byte).  ``decide``, ``solve``
+and ``bench`` call ``indeg.solve``; an instance its feasibility gate rejects
+exits 2 with the one limit that failed.
 
 Exit codes: 0 the favorite can win / the command succeeded, 1 it cannot /
 the seeding loses, 2 any error.  Output for a fixed file, algorithm, seed
@@ -21,7 +23,6 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .arborescence import lba_to_seeding
 from .core import (
     ParseError,
     Seeding,
@@ -31,13 +32,9 @@ from .core import (
     parse_tournament,
     simulate,
 )
-from .embed import solve_exact
-from .indeg import IndegConfig, solve_indeg
+from .indeg import ALGOS, IndegConfig, pick, solve
 from .instances import gen_planted_yes, gen_random
-from .oracles import brute_force_decide, niceness, repair_to_nice
-from .outdeg import solve_outdeg
-
-ALGOS = ("auto", "brute", "exact", "outdeg", "indeg")
+from .oracles import niceness, repair_to_nice
 
 
 def _load(path: str) -> Tournament:
@@ -45,35 +42,7 @@ def _load(path: str) -> Tournament:
 
 
 def _cfg(args: argparse.Namespace) -> IndegConfig:
-    return IndegConfig(
-        rng_seed=args.seed,
-        iteration_multiplier=args.multiplier,
-        max_iterations_override=args.max_iterations,
-    )
-
-
-def _pick(choice: str, t: Tournament) -> tuple[str, str]:
-    """Resolve ``auto`` to a concrete algorithm; returns (algo, display label)."""
-    if choice != "auto":
-        return choice, choice
-    if t.ell < t.num_rounds:
-        algo = "outdeg"  # the favorite cannot even win enough matches
-    elif t.n <= 16:
-        algo = "exact"
-    else:
-        algo = "indeg"
-    return algo, f"{algo} (auto)"
-
-
-def _run(algo: str, t: Tournament, cfg: IndegConfig) -> Seeding | None:
-    if algo == "brute":
-        return brute_force_decide(t)
-    if algo == "exact":
-        lba = solve_exact(t)
-        return None if lba is None else lba_to_seeding(lba)
-    if algo == "outdeg":
-        return solve_outdeg(t)
-    return solve_indeg(t, cfg)
+    return IndegConfig(rng_seed=args.seed, iteration_multiplier=args.multiplier)
 
 
 def _read_seeding(args: argparse.Namespace, n: int) -> Seeding:
@@ -88,24 +57,17 @@ def _read_seeding(args: argparse.Namespace, n: int) -> Seeding:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
+    """``decide`` and ``solve``; ``solve`` adds the seeding and its trace to a YES."""
     t = _load(args.file)
-    algo, label = _pick(args.algo, t)
-    s = _run(algo, t, _cfg(args))
+    algo = pick(t, args.algo)
+    s = solve(t, algo, _cfg(args))
     print("YES" if s is not None else "NO")
-    print(f"algo: {label}")
-    return 0 if s is not None else 1
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    t = _load(args.file)
-    algo, label = _pick(args.algo, t)
-    s = _run(algo, t, _cfg(args))
-    print("YES" if s is not None else "NO")
-    print(f"algo: {label}")
+    print(f"algo: {algo} (auto)" if args.algo == "auto" else f"algo: {algo}")
     if s is None:
         return 1
-    print("seeding:", " ".join(map(str, s.leaf_order)))
-    print(format_trace(simulate(t, s)))
+    if args.command == "solve":
+        print("seeding:", " ".join(map(str, s.leaf_order)))
+        print(format_trace(simulate(t, s)))
     return 0
 
 
@@ -169,9 +131,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{'file':<28} {'algo':<7} {'n':>4} {'verdict':<7} {'ms':>9}")
     for path in args.files:
         t = _load(path)
-        algo, _ = _pick(args.algo, t)
+        algo = pick(t, args.algo)
         start = time.perf_counter()
-        s = _run(algo, t, cfg)
+        s = solve(t, algo, cfg)
         ms = (time.perf_counter() - start) * 1e3
         verdict = "YES" if s is not None else "NO"
         print(f"{Path(path).name:<28} {algo:<7} {t.n:>4} {verdict:<7} {ms:>9.1f}")
@@ -186,12 +148,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
         type=float,
         default=1.0,
         help="scales the randomized draw budget (miss probability e**-multiplier)",
-    )
-    sp.add_argument(
-        "--max-iterations",
-        type=int,
-        default=None,
-        help="hard override for the randomized draw budget",
     )
 
 
@@ -216,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="decide and print a winning seeding with its trace")
     s.add_argument("file")
     _add_solver_flags(s)
-    s.set_defaults(func=cmd_solve)
+    s.set_defaults(func=cmd_decide)
 
     g = sub.add_parser("gen", help="generate an instance file")
     g.add_argument("out")

@@ -55,6 +55,10 @@ class Tournament:
     out_masks: tuple[int, ...]
 
     def __post_init__(self):
+        # plain ints: numpy integers overflow in the bit shifts below
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "vstar", operator.index(self.vstar))
+        object.__setattr__(self, "out_masks", tuple(map(operator.index, self.out_masks)))
         if not _is_power_of_two(self.n):
             raise ValueError(f"player count {self.n} is not a power of two")
         if not 0 <= self.vstar < self.n:

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arborescence import Lba, UbaShape
+from .arborescence import Lba
 from .core import Tournament
 
 __all__ = [
@@ -92,10 +92,6 @@ class PatternTree:
             stack.extend((c, False) for c in self.children[x])
         return tuple(order)
 
-    @classmethod
-    def from_uba(cls, shape: UbaShape) -> "PatternTree":
-        return cls(parents=shape.parents(), root=0)
-
 
 @dataclass(frozen=True)
 class HostGraph:
@@ -114,18 +110,18 @@ class HostGraph:
     def n(self) -> int:
         return len(self.out_masks)
 
-    def out_list(self, u: int) -> list[int]:
-        out = []
-        m = self.out_masks[u]
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
-
-    @classmethod
-    def from_tournament(cls, t: Tournament) -> "HostGraph":
-        return cls(out_masks=t.out_masks)
+    @cached_property
+    def out_lists(self) -> tuple[list[int], ...]:
+        """Out-neighbors of every vertex in ascending order, built once per host."""
+        lists = []
+        for m in self.out_masks:
+            out = []
+            while m:
+                low = m & -m
+                out.append(low.bit_length() - 1)
+                m ^= low
+            lists.append(out)
+        return tuple(lists)
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,7 @@ class _PackedDp:
         keys = _shape_keys(pattern)
         sizes = pattern.subtree_sizes
         size_of = {keys[x]: sizes[x] for x in range(pattern.n)}
-        out_lists = [host.out_list(u) for u in range(host.n)]
+        out_lists = host.out_lists
 
         def reach_of(child_fam: np.ndarray) -> np.ndarray:
             r = np.zeros_like(child_fam)
@@ -271,7 +267,7 @@ class _PackedDp:
         h's own color, and ``prefixes[i + 1]`` folds in child i, whose family
         reached over the arcs out of h is ``reaches[i]``.
         """
-        out_h = self.host.out_list(h)
+        out_h = self.host.out_lists[h]
         cur = self.base[:, h, :]
         prefixes, reaches = [cur], []
         acc = 1
@@ -344,7 +340,7 @@ def embed_colorful_tree(
         mapping[x] = h
         prefixes, reaches = stages
         kids = pattern.children[x]
-        out_h = host.out_list(h)
+        out_h = host.out_lists[h]
         for i in reversed(range(len(kids))):
             reach = reaches[i][0] != 0
             s1s = np.flatnonzero(prefixes[i][0])  # ascending color sets
@@ -365,6 +361,8 @@ def embed_colorful_tree(
 
 # ---------------------------------------------------------------------------
 # Exact solver via the identity coloring.
+
+EXACT_MAX_N = 16  # the winners table has 2**n words
 
 
 @lru_cache(maxsize=None)
@@ -433,16 +431,16 @@ def _extract_arborescence(
     raise AssertionError("winners table admits no split; table is inconsistent")
 
 
-def solve_exact(t: Tournament, *, limit: int = 16) -> Lba | None:
+def solve_exact(t: Tournament) -> Lba | None:
     """Spanning arborescence rooted at the favorite, or None if none exists.
 
     Equivalent to embedding the full-bracket tree pattern under the identity
     coloring with the root pinned to the favorite; see the module docstring
     for why that collapses to one winners word per player subset.  Guarded at
-    ``limit`` players since the table has 2**n entries.
+    ``EXACT_MAX_N`` players since the table has 2**n entries.
     """
-    if t.n > limit:
-        raise ValueError(f"exact solver is capped at {limit} players, got n={t.n}")
+    if t.n > EXACT_MAX_N:
+        raise ValueError(f"exact solver is capped at {EXACT_MAX_N} players, got n={t.n}")
     if t.n == 1:
         return Lba(root=t.vstar, parent={})
     winners = _winners_table(t)

@@ -24,6 +24,15 @@ tree: leftover players are chunked into blocks of 2**k, each block gets
 an arbitrary internal bracket, and trees are merged pairwise.  Every
 merge root lies outside the favorite's in-set, so the favorite's own
 tree keeps winning merges and ends up spanning the field.
+
+``solve`` is the one solver entry point, shared by the command line, the
+scripts and the tests; ``pick`` resolves ``auto``.  Before any work, one
+feasibility gate (``_route``) chooses the route and raises a single
+ValueError naming the limit that fails.  Except for the ``brute`` oracle,
+which runs unfiltered, the degree certificate comes first: a favorite that
+beats fewer than log2(n) players cannot win log2(n) matches, so the answer
+is NO.  Otherwise n <= 2**ell, and the out-degree parameterization is exact
+search.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ import numpy as np
 from .arborescence import Lba, arbitrary_lba, is_lba, lba_to_seeding, merge_lbas
 from .core import Seeding, Tournament, champion_of
 from .embed import (
+    _BATCH_MAX_COLORS,
+    EXACT_MAX_N,
     Coloring,
     Embedding,
     HostGraph,
@@ -44,6 +55,7 @@ from .embed import (
     embed_colorful_tree,
     solve_exact,
 )
+from .oracles import brute_force_decide
 
 __all__ = [
     "Wwf",
@@ -54,8 +66,11 @@ __all__ = [
     "extend_coloring",
     "find_wwf",
     "complete_wwf",
-    "solve_indeg",
+    "pick",
+    "solve",
 ]
+
+ALGOS = ("auto", "brute", "exact", "outdeg", "indeg")
 
 _BUDGET_CAP = 100_000_000
 
@@ -71,14 +86,18 @@ class Wwf:
 class IndegConfig:
     """Knobs for the randomized search.
 
-    ``iteration_multiplier`` scales the draw budget (failure probability
-    e**-multiplier); ``max_iterations_override`` replaces the budget outright,
-    which is the only way to run when the computed budget would be absurd.
+    ``iteration_multiplier`` scales the draw budget, so that a NO misses a
+    witness with probability at most e**-multiplier; it must be positive and
+    finite for that bound to mean anything.
     """
 
     rng_seed: int = 0
     iteration_multiplier: float = 1.0
-    max_iterations_override: int | None = None
+
+    def __post_init__(self):
+        m = self.iteration_multiplier
+        if not (math.isfinite(m) and m > 0):
+            raise ValueError(f"iteration multiplier must be positive and finite, got {m}")
 
 
 def build_pattern_forest(k: int) -> PatternTree:
@@ -150,20 +169,16 @@ def extend_coloring(col: Coloring, d: int) -> Coloring:
 
 
 def _iteration_budget(exponent: int, cfg: IndegConfig) -> int:
-    if cfg.max_iterations_override is not None:
-        if cfg.max_iterations_override < 1:
-            raise ValueError("max_iterations_override must be positive")
-        return cfg.max_iterations_override
     if exponent <= 700:
         raw = cfg.iteration_multiplier * math.exp(exponent)
     else:
         raw = math.inf
     if raw > _BUDGET_CAP:
         raise ValueError(
-            f"iteration budget ceil({cfg.iteration_multiplier} * e**{exponent}) "
-            f"exceeds {_BUDGET_CAP}; set max_iterations_override to force a run"
+            f"color coding needs ceil({cfg.iteration_multiplier} * e**{exponent}) draws, "
+            f"over the cap of {_BUDGET_CAP}"
         )
-    return max(1, math.ceil(raw))
+    return math.ceil(raw)
 
 
 def _chunk_sizes(total: int) -> list[int]:
@@ -284,30 +299,68 @@ def _verify(t: Tournament, s: Seeding) -> None:
         raise AssertionError("solver produced a seeding that does not crown the favorite")
 
 
-def solve_indeg(
-    t: Tournament, cfg: IndegConfig = IndegConfig(), *, exact_limit: int = 16
-) -> Seeding | None:
+def pick(t: Tournament, algo: str = "auto") -> str:
+    """The algorithm ``solve`` runs for ``algo``: one of ``ALGOS``, with
+    ``auto`` resolved to ``outdeg`` when the degree certificate answers NO,
+    to ``exact`` up to ``EXACT_MAX_N`` players, and to ``indeg`` beyond."""
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algorithm {algo!r}, expected one of {', '.join(ALGOS)}")
+    if algo != "auto":
+        return algo
+    if t.ell < t.num_rounds:
+        return "outdeg"
+    return "exact" if t.n <= EXACT_MAX_N else "indeg"
+
+
+def _route(t: Tournament, algo: str, cfg: IndegConfig) -> str:
+    """The feasibility gate: the route ``solve`` takes for a concrete ``algo``.
+
+    Returns ``brute``, ``degree`` (NO by the degree certificate),
+    ``identity`` (nobody beats the favorite), ``exact`` or ``color`` (color
+    coding), or raises ValueError naming the limit the route exceeds.
+    """
+    if algo == "brute":
+        return "brute"
+    if t.ell < t.num_rounds:
+        return "degree"
+    k = t.k
+    palette = k * (1 << k)
+    if algo == "indeg" and k == 0:
+        return "identity"
+    if algo != "indeg" or palette >= t.n:
+        if t.n > EXACT_MAX_N:
+            raise ValueError(f"exact solver is capped at {EXACT_MAX_N} players, got n={t.n}")
+        return "exact"
+    if palette + 1 > _BATCH_MAX_COLORS:  # one more color for the stem vertex
+        raise ValueError(
+            f"color coding at k={k} needs {palette + 1} colors, "
+            f"over the cap of {_BATCH_MAX_COLORS}"
+        )
+    _iteration_budget(palette - k, cfg)
+    return "color"
+
+
+def solve(t: Tournament, algo: str = "auto", cfg: IndegConfig = IndegConfig()) -> Seeding | None:
     """Winning seeding for the favorite, or None.
 
-    YES answers are always verified by simulation before being returned.  A
-    None in the randomized regime is wrong with probability at most
-    e**-iteration_multiplier; elsewhere it is exact.
+    ``algo`` is one of ``ALGOS`` (see ``pick``).  The feasibility gate runs
+    before any work.  Every YES is verified by simulation before it is
+    returned.  A None from color coding is wrong with probability at most
+    e**-iteration_multiplier; every other None is exact.
     """
-    k = t.k
-    if k == 0:
-        s = Seeding(tuple(range(t.n)))
-        _verify(t, s)
-        return s
-    if k * (1 << k) >= t.n:
-        lba = solve_exact(t, limit=exact_limit)
-        if lba is None:
-            return None
-        s = lba_to_seeding(lba)
-        _verify(t, s)
-        return s
-    wwf = find_wwf(t, cfg)
-    if wwf is None:
+    route = _route(t, pick(t, algo), cfg)
+    if route == "degree":
         return None
-    s = lba_to_seeding(complete_wwf(t, wwf))
-    _verify(t, s)
+    if route == "brute":
+        s = brute_force_decide(t)
+    elif route == "identity":
+        s = Seeding(tuple(range(t.n)))
+    elif route == "exact":
+        lba = solve_exact(t)
+        s = None if lba is None else lba_to_seeding(lba)
+    else:
+        wwf = find_wwf(t, cfg)
+        s = None if wwf is None else lba_to_seeding(complete_wwf(t, wwf))
+    if s is not None:
+        _verify(t, s)
     return s

@@ -9,24 +9,12 @@ then coin-flips the remaining pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arborescence import Lba, lba_to_seeding
 from .core import Seeding, Tournament, champion_of
 
-__all__ = ["GenSpec", "generate", "gen_random", "gen_planted_yes"]
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """What to generate: n players, k losses for the favorite, rng seed."""
-
-    n: int
-    k: int
-    seed: int = 0
-    planted: bool = False
+__all__ = ["gen_random", "gen_planted_yes"]
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -105,12 +93,6 @@ def gen_planted_yes(n: int, k: int, seed: int = 0) -> tuple[Tournament, Seeding]
     t = Tournament(n=n, vstar=0, out_masks=tuple(out))
     planted = Lba(root=0, parent={label[i]: label[i & (i - 1)] for i in range(1, n)})
     s = lba_to_seeding(planted)
-    assert champion_of(t, s.leaf_order) == 0, "planting failed"
+    if champion_of(t, s.leaf_order) != 0:
+        raise AssertionError("planting failed")
     return t, s
-
-
-def generate(spec: GenSpec):
-    """Dispatch on ``spec.planted``; see the two generators for return types."""
-    if spec.planted:
-        return gen_planted_yes(spec.n, spec.k, seed=spec.seed)
-    return gen_random(spec.n, spec.k, seed=spec.seed)

@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 
+_SEEDINGS_MAX_N = 8
+_WWF_MAX_N = 16
+
+
 class OracleLimitError(ValueError):
     """An exhaustive routine was asked for more players than its cap allows."""
 
@@ -60,19 +64,19 @@ def _brackets(players: tuple[int, ...]) -> Iterator[list[int]]:
                 yield lo + ro
 
 
-def enumerate_seedings(n: int, *, limit: int = 8) -> Iterator[Seeding]:
+def enumerate_seedings(n: int) -> Iterator[Seeding]:
     """All seedings of n players up to mirror-symmetry of sub-brackets."""
-    if n > limit:
-        raise OracleLimitError(f"seeding enumeration is capped at {limit} players")
+    if n > _SEEDINGS_MAX_N:
+        raise OracleLimitError(f"seeding enumeration is capped at {_SEEDINGS_MAX_N} players")
     if n & (n - 1) or n < 1:
         raise ValueError(f"player count must be a power of two, got {n}")
     for order in _brackets(tuple(range(n))):
         yield Seeding(tuple(order))
 
 
-def brute_force_decide(t: Tournament, *, limit: int = 8) -> Seeding | None:
+def brute_force_decide(t: Tournament) -> Seeding | None:
     """First seeding (in enumeration order) that crowns the favorite, else None."""
-    for s in enumerate_seedings(t.n, limit=limit):
+    for s in enumerate_seedings(t.n):
         if champion_of(t, s.leaf_order) == t.vstar:
             return s
     return None
@@ -115,19 +119,23 @@ def repair_to_nice(t: Tournament, s: Seeding) -> tuple[Seeding, int]:
         if rep.all_nice:
             return cur, count
         p = max(i for i, ok in enumerate(rep.per_round) if not ok) + 1
-        assert p < total, "the final round of a winning bracket is always nice"
+        if p >= total:
+            raise AssertionError("the final round of a winning bracket is always nice")
         w = sorted(trace.losers[p - 1])
-        assert t.vstar not in w and not t.in_neighbors.intersection(w)
+        if t.vstar in w or t.in_neighbors.intersection(w):
+            raise AssertionError("a non-nice round eliminated the favorite or a conqueror")
         w_rounds = bracket_rounds(t, w)
         new_rounds: list[list[Match]] = [list(r) for r in trace.rounds[: p - 1]]
         for q in range(p, total):
             new_rounds.append(list(trace.rounds[q]) + w_rounds[q - p])
         new_rounds.append([(t.vstar, champion_of(t, w))])
-        assert validate_match_sequence(t, new_rounds), "rewrite broke the schedule"
+        if not validate_match_sequence(t, new_rounds):
+            raise AssertionError("rewrite broke the schedule")
         cur = seeding_from_sequence(new_rounds)
         trace = simulate(t, cur)
         count += 1
-        assert count <= total, "repair failed to terminate"
+        if count > total:
+            raise AssertionError("repair failed to terminate")
 
 
 def extract_local_lba(t: Tournament, full: Lba, b: int) -> Lba:
@@ -160,10 +168,13 @@ def extract_local_lba(t: Tournament, full: Lba, b: int) -> Lba:
         x = stack.pop()
         keep.add(x)
         stack.extend(children[x])
-    assert len(keep) == size and b in keep
-    assert u not in t.in_neighbors, "carving from a non-nice bracket"
+    if len(keep) != size or b not in keep:
+        raise AssertionError("the carved block misses its size or its vertex")
+    if u in t.in_neighbors:
+        raise AssertionError("carving from a non-nice bracket")
     sub = Lba(root=u, parent={v: full.parent[v] for v in keep if v != u})
-    assert is_lba(t, sub)
+    if not is_lba(t, sub):
+        raise AssertionError("the carved block is not a bracket tree")
     return sub
 
 
@@ -200,7 +211,7 @@ def _lba_from_order(t: Tournament, order: Sequence[int]) -> Lba:
     return Lba(root=champion_of(t, order), parent=parent)
 
 
-def brute_force_wwf(t: Tournament, *, limit: int = 16) -> "Wwf | None":  # noqa: F821
+def brute_force_wwf(t: Tournament) -> "Wwf | None":  # noqa: F821
     """Backtracking search for a witness forest; None when none exists.
 
     Blocks are chosen for the smallest not-yet-covered conqueror of the
@@ -210,8 +221,8 @@ def brute_force_wwf(t: Tournament, *, limit: int = 16) -> "Wwf | None":  # noqa:
     Once every conqueror is covered the remaining trees are filled with the
     lowest leftover players, whose roots are automatically allowed.
     """
-    if t.n > limit:
-        raise OracleLimitError(f"witness-forest search is capped at {limit} players")
+    if t.n > _WWF_MAX_N:
+        raise OracleLimitError(f"witness-forest search is capped at {_WWF_MAX_N} players")
     from .indeg import Wwf
 
     k = t.k
@@ -266,5 +277,6 @@ def brute_force_wwf(t: Tournament, *, limit: int = 16) -> "Wwf | None":  # noqa:
     if found is None:
         return None
     wwf = Wwf(trees=tuple(found))
-    assert is_wwf(t, wwf), "backtracker assembled an invalid forest"
+    if not is_wwf(t, wwf):
+        raise AssertionError("backtracker assembled an invalid forest")
     return wwf

@@ -32,9 +32,8 @@ from tfpsolve import (
     sample_coloring,
     seeding_to_lba,
     simulate,
+    solve,
     solve_exact,
-    solve_indeg,
-    solve_outdeg,
 )
 
 
@@ -67,8 +66,8 @@ def test_criterion_1_exhaustive_n4():
         assert (lba is not None) == expected
         if lba is not None:
             assert champion_of(t, lba_to_seeding(lba).leaf_order) == 0
-        for solver in (solve_outdeg, lambda x: solve_indeg(x, cfg)):
-            s = solver(t)
+        for algo in ("outdeg", "indeg"):
+            s = solve(t, algo, cfg)
             assert (s is not None) == expected
             if s is not None:
                 assert champion_of(t, s.leaf_order) == 0
@@ -91,7 +90,7 @@ def test_criterion_3_indeg_agreement_n16():
         t = gen_random(16, 1 + (i % 2), seed=30000 + i)
         expected = solve_exact(t) is not None
         cfg = IndegConfig(rng_seed=777 + i, iteration_multiplier=20.0)
-        s = solve_indeg(t, cfg)
+        s = solve(t, "indeg", cfg)
         assert (s is not None) == expected
         if s is not None:
             assert champion_of(t, s.leaf_order) == t.vstar
@@ -176,7 +175,7 @@ def test_criterion_8_planted_n64():
     start = time.perf_counter()
     for i in range(20):
         t, _witness = gen_planted_yes(64, 2, seed=80000 + i)
-        s = solve_indeg(t, IndegConfig(rng_seed=i, iteration_multiplier=20.0))
+        s = solve(t, "indeg", IndegConfig(rng_seed=i, iteration_multiplier=20.0))
         assert s is not None
         assert champion_of(t, s.leaf_order) == t.vstar
     _report(8, "planted n=64 soundness", time.perf_counter() - start, 60.0)

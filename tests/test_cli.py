@@ -50,6 +50,26 @@ class TestDecide:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "k, limit",
+        [(3, "needs 25 colors, over the cap of 20"), (4, "capped at 16 players, got n=32")],
+    )
+    def test_out_of_reach_names_one_limit(self, capsys, tmp_path, k, limit):
+        path = str(tmp_path / "big.tfp")
+        run(capsys, "gen", path, "--n", "32", "--k", str(k), "--seed", "0")
+        code, out, err = run(capsys, "decide", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert limit in err and "iteration" not in err and "override" not in err
+
+    @pytest.mark.parametrize("m", ["-5", "0", "nan", "inf"])
+    def test_rejects_multiplier_without_miss_bound(self, capsys, tmp_path, m):
+        path = str(tmp_path / "p.tfp")
+        run(capsys, "gen", path, "--n", "32", "--k", "2", "--seed", "0", "--planted")
+        code, out, err = run(capsys, "decide", path, "--algo", "indeg", "--multiplier", m)
+        assert code == 2 and out == ""
+        assert err == f"error: iteration multiplier must be positive and finite, got {float(m)}\n"
+
 
 class TestSolve:
     def test_yes_prints_seeding_and_trace(self, capsys, yes_file):

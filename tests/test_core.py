@@ -143,6 +143,15 @@ class TestSeeding:
         t = gen_random(64, 2, seed=0)
         assert simulate(t, s) == simulate(t, Seeding(tuple(range(64))))
 
+    def test_tournament_accepts_numpy_integers(self):
+        t = gen_random(64, 2, seed=0)
+        for got in (
+            Tournament(n=64, vstar=np.int64(0), out_masks=t.out_masks),
+            Tournament(n=np.int64(64), vstar=0, out_masks=t.out_masks),
+        ):
+            assert got == t and got.k == 2
+            assert all(type(v) is int for v in (got.n, got.vstar, *got.out_masks))
+
 
 class TestSimulation:
     def test_trace_identity_order(self, t4_yes):

@@ -13,6 +13,7 @@ from tfpsolve import (
     Tournament,
     brute_force_decide,
     embed_colorful_tree,
+    gen_random,
     is_lba,
     solve_exact,
 )
@@ -73,8 +74,8 @@ class TestPatternTree:
 class TestHostGraph:
     def test_out_list(self):
         h = HostGraph(out_masks=(6, 0, 1))
-        assert h.out_list(0) == [1, 2]
-        assert h.out_list(1) == []
+        assert h.out_lists == ([1, 2], [], [0])
+        assert h.out_lists is h.out_lists  # built once per host
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -205,8 +206,8 @@ class TestSolveExact:
         assert solve_exact(t) is None
 
     def test_player_cap(self):
-        with pytest.raises(ValueError):
-            solve_exact(Tournament(n=1, vstar=0, out_masks=(0,)), limit=0)
+        with pytest.raises(ValueError, match="capped at 16 players, got n=32"):
+            solve_exact(gen_random(32, 4, seed=0))
 
     @settings(max_examples=60)
     @given(tournaments(max_rounds=2))

@@ -27,8 +27,9 @@ from tfpsolve import (
     gen_random,
     is_lba,
     is_wwf,
+    pick,
     sample_coloring,
-    solve_indeg,
+    solve,
 )
 from tfpsolve.indeg import _chunk_sizes, _coloring_from_draw, _iteration_budget
 
@@ -111,16 +112,18 @@ class TestBudget:
         assert _iteration_budget(6, IndegConfig()) == 404
         assert _iteration_budget(6, IndegConfig(iteration_multiplier=20.0)) == 8069
         assert _iteration_budget(1, IndegConfig(iteration_multiplier=20.0)) == 55
-
-    def test_override_wins(self):
-        cfg = IndegConfig(max_iterations_override=7)
-        assert _iteration_budget(1000, cfg) == 7
+        assert _iteration_budget(6, IndegConfig(iteration_multiplier=0.25)) == 101
 
     def test_absurd_budget_raises(self):
-        with pytest.raises(ValueError, match="max_iterations_override"):
+        with pytest.raises(ValueError, match="over the cap of 100000000"):
             _iteration_budget(21, IndegConfig())
-        with pytest.raises(ValueError, match="max_iterations_override"):
+        with pytest.raises(ValueError, match="over the cap of 100000000"):
             _iteration_budget(889, IndegConfig())  # would overflow exp if evaluated
+
+    @pytest.mark.parametrize("m", [0.0, -5.0, math.nan, math.inf, -math.inf])
+    def test_rejects_multiplier_without_miss_bound(self, m):
+        with pytest.raises(ValueError, match="positive and finite"):
+            IndegConfig(iteration_multiplier=m)
 
     def test_chunks_cover_budget_in_order(self):
         assert _chunk_sizes(100) == [64, 36]
@@ -140,7 +143,8 @@ class TestFindWwf:
         t = gen_random(16, 2, seed=9)
         rng = np.random.default_rng(31)
         first = sample_coloring(t, rng)
-        cfg = IndegConfig(rng_seed=31, max_iterations_override=1)
+        cfg = IndegConfig(rng_seed=31, iteration_multiplier=0.002)
+        assert _iteration_budget(6, cfg) == 1
         w = find_wwf(t, cfg)
         # iteration 0 uses exactly `first`; embeddability of that coloring
         # decides the one-iteration search
@@ -153,7 +157,7 @@ class TestFindWwf:
 
     def test_no_instance_exhausts_budget(self):
         t = dominating_conquerors(16)
-        assert find_wwf(t, IndegConfig(rng_seed=0, max_iterations_override=200)) is None
+        assert find_wwf(t, IndegConfig(rng_seed=0, iteration_multiplier=0.5)) is None
 
     def test_rejects_wrong_regime(self, t4_no):
         with pytest.raises(ValueError):
@@ -178,10 +182,16 @@ class TestCompleteWwf:
     def test_guard_survives_optimize_flag(self):
         # the forest guards raise explicitly, so `python -O` keeps them
         script = (
-            "from tfpsolve import Lba, Wwf, complete_wwf, parse_tournament\n"
+            "from tfpsolve import Lba, Seeding, Wwf, complete_wwf, extract_local_lba\n"
+            "from tfpsolve import gen_random, parse_tournament, seeding_to_lba\n"
             f"t = parse_tournament({T4_YES_TEXT!r})\n"
             "try:\n"
             "    complete_wwf(t, Wwf(trees=(Lba(root=2, parent={1: 2}),)))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+            "t = gen_random(8, 1, seed=0)\n"
+            "try:\n"
+            "    extract_local_lba(t, seeding_to_lba(t, Seeding(tuple(range(8)))), 6)\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n"
         )
@@ -190,7 +200,10 @@ class TestCompleteWwf:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout == "a merge root fell inside the favorite's in-set\n"
+        assert run.stdout == (
+            "a merge root fell inside the favorite's in-set\n"
+            "carving from a non-nice bracket\n"
+        )
 
     def test_empty_forest_spans_k0_instance(self):
         t = gen_random(8, 0, seed=3)
@@ -201,36 +214,63 @@ class TestCompleteWwf:
 class TestSolveIndeg:
     def test_k0_returns_identity(self):
         t = gen_random(8, 0, seed=1)
-        assert solve_indeg(t) == Seeding(tuple(range(8)))
+        assert solve(t, "indeg") == Seeding(tuple(range(8)))
 
     def test_small_parameter_routes_to_exact(self, t4_no):
-        assert solve_indeg(t4_no) is None
+        assert solve(t4_no, "indeg") is None
 
     def test_exact_route_respects_cap(self):
         t = dominating_conquerors(32)
-        # k = 2, 2 * 4 = 8 < 32: randomized route, must terminate NO quickly
-        assert solve_indeg(t, IndegConfig(max_iterations_override=100)) is None
+        # k = 2, 2 * 4 = 8 < 32: randomized route, 101 draws end in NO
+        assert solve(t, "indeg", IndegConfig(iteration_multiplier=0.25)) is None
 
     def test_planted_instances_solved_and_verified(self):
         for seed in range(5):
             t, _ = gen_planted_yes(32, 2, seed=seed)
-            s = solve_indeg(t, IndegConfig(rng_seed=seed, iteration_multiplier=20.0))
+            s = solve(t, "indeg", IndegConfig(rng_seed=seed, iteration_multiplier=20.0))
             assert s is not None and champion_of(t, s.leaf_order) == 0
 
     def test_reference_instances(self, t4_yes, t4_no):
         cfg = IndegConfig(rng_seed=5, iteration_multiplier=20.0)
-        s = solve_indeg(t4_yes, cfg)
+        s = solve(t4_yes, "indeg", cfg)
         assert s is not None and champion_of(t4_yes, s.leaf_order) == 0
-        assert solve_indeg(t4_no, cfg) is None
+        assert solve(t4_no, "indeg", cfg) is None
 
     @settings(max_examples=50, deadline=None)
     @given(tournaments(max_rounds=2))
     def test_agrees_with_brute_force(self, t):
-        got = solve_indeg(t, IndegConfig(rng_seed=7, iteration_multiplier=20.0))
+        got = solve(t, "indeg", IndegConfig(rng_seed=7, iteration_multiplier=20.0))
         expect = brute_force_decide(t)
         assert (got is None) == (expect is None)
         if got is not None:
             assert champion_of(t, got.leaf_order) == t.vstar
+
+
+class TestSolveGate:
+    def test_pick_resolves_auto(self, t4_yes, t4_no):
+        assert pick(t4_no) == "outdeg"  # ell = 1 < 2 rounds
+        assert pick(t4_yes) == "exact"
+        assert pick(gen_random(32, 3, seed=0)) == "indeg"
+        assert pick(t4_yes, "brute") == "brute"
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            pick(t4_yes, "fast")
+
+    def test_gate_names_the_draw_cap(self):
+        # k = 2 fits the engine; only an absurd multiplier exceeds the cap
+        cfg = IndegConfig(iteration_multiplier=1e6)
+        with pytest.raises(ValueError, match=r"e\*\*6\) draws, over the cap of 100000000$"):
+            solve(gen_random(32, 2, seed=0), "auto", cfg)
+
+    @pytest.mark.parametrize("algo", ["brute", "exact", "outdeg", "indeg"])
+    def test_every_yes_is_simulated(self, t4_yes, monkeypatch, algo):
+        import tfpsolve.indeg
+
+        losing = Seeding((0, 2, 1, 3))
+        assert champion_of(t4_yes, losing.leaf_order) != 0
+        monkeypatch.setattr(tfpsolve.indeg, "lba_to_seeding", lambda lba: losing)
+        monkeypatch.setattr(tfpsolve.indeg, "brute_force_decide", lambda t: losing)
+        with pytest.raises(AssertionError, match="does not crown the favorite"):
+            solve(t4_yes, algo, IndegConfig(rng_seed=5, iteration_multiplier=20.0))
 
 
 def test_coloring_from_draw_layout():

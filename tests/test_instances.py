@@ -1,12 +1,10 @@
 import pytest
 
 from tfpsolve import (
-    GenSpec,
     Seeding,
     champion_of,
     gen_planted_yes,
     gen_random,
-    generate,
     niceness,
     simulate,
 )
@@ -61,13 +59,6 @@ def test_planted_witness_is_usable_by_repair():
 
     fixed, _ = repair_to_nice(t, s)
     assert niceness(t, simulate(t, fixed)).all_nice
-
-
-def test_generate_dispatch():
-    spec = GenSpec(n=8, k=1, seed=5)
-    assert generate(spec) == gen_random(8, 1, seed=5)
-    spec = GenSpec(n=8, k=1, seed=5, planted=True)
-    assert generate(spec) == gen_planted_yes(8, 1, seed=5)
 
 
 def test_single_player_edge():

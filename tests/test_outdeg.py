@@ -1,18 +1,24 @@
 from conftest import tournaments
 from hypothesis import given, settings
 
-from tfpsolve import Tournament, brute_force_decide, champion_of, solve_outdeg
+import tfpsolve.indeg
+from tfpsolve import Tournament, brute_force_decide, champion_of, solve
 
 
 def test_reference_yes(t4_yes):
-    s = solve_outdeg(t4_yes)
+    s = solve(t4_yes, "outdeg")
     assert s is not None and champion_of(t4_yes, s.leaf_order) == 0
 
 
-def test_reference_no_short_circuits(t4_no):
-    # ell = 1 < 2 rounds: answered without touching the exact solver,
-    # which is why no player cap bites here
-    assert solve_outdeg(t4_no, limit=0) is None
+def test_reference_no_short_circuits(t4_no, monkeypatch):
+    # ell = 1 < 2 rounds: the degree certificate answers without touching
+    # the exact solver
+    def exact_forbidden(t):
+        raise AssertionError("exact search ran")
+
+    monkeypatch.setattr(tfpsolve.indeg, "solve_exact", exact_forbidden)
+    for algo in ("auto", "exact", "outdeg", "indeg"):
+        assert solve(t4_no, algo) is None
 
 
 def test_degree_test_scales_past_exact_cap():
@@ -27,13 +33,14 @@ def test_degree_test_scales_past_exact_cap():
             out[u] |= 1 << v
     t = Tournament(n=n, vstar=0, out_masks=tuple(out))
     assert t.ell == 1
-    assert solve_outdeg(t) is None
+    for algo in ("auto", "exact", "outdeg", "indeg"):
+        assert solve(t, algo) is None
 
 
 @settings(max_examples=80)
 @given(tournaments(max_rounds=2))
 def test_agrees_with_brute_force(t):
-    s = solve_outdeg(t)
+    s = solve(t, "outdeg")
     expect = brute_force_decide(t)
     assert (s is None) == (expect is None)
     if s is not None:
