@@ -4,9 +4,11 @@ The engine answers: does the host contain a copy of a rooted tree pattern,
 with the pattern root pinned to a distinguished host vertex, all arcs running
 parent to child, and all image vertices carrying pairwise distinct colors?
 It is one bottom-up DP whose state per (subtree shape, host vertex) is the
-family of usable color sets, kept as bitmasks, so the work is bounded by
-2**num_colors times a polynomial in the host size.  The DP is bit-packed: it
-decides many colorings of the same pattern/host at once, 64 per machine word.
+family of usable color sets.  A subtree of s nodes can only be colorful on
+exactly s colors, so its family keeps one column per s-subset of the
+palette, comb(num_colors, s) in all, and merges go through precomputed
+tables of disjoint pairs.  The DP is bit-packed: it decides many colorings
+of the same pattern/host at once, 64 per machine word.
 ``embed_colorful_tree`` runs it on a single coloring and rebuilds a witness
 by backtracking through the families, recomputing the merge stages at each
 host vertex it visits.
@@ -20,6 +22,7 @@ keeps the spanning-arborescence search at 2**n words.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -113,15 +116,11 @@ class HostGraph:
     @cached_property
     def out_lists(self) -> tuple[list[int], ...]:
         """Out-neighbors of every vertex in ascending order, built once per host."""
-        lists = []
-        for m in self.out_masks:
-            out = []
-            while m:
-                low = m & -m
-                out.append(low.bit_length() - 1)
-                m ^= low
-            lists.append(out)
-        return tuple(lists)
+        width = (self.n + 7) // 8
+        raw = b"".join(m.to_bytes(width, "little") for m in self.out_masks)
+        rows = np.frombuffer(raw, np.uint8).reshape(self.n, width)
+        bits = np.unpackbits(rows, axis=1, bitorder="little")
+        return tuple(np.flatnonzero(row).tolist() for row in bits)
 
 
 @dataclass(frozen=True)
@@ -152,6 +151,7 @@ _BATCH_MAX_COLORS = 20
 
 @lru_cache(maxsize=None)
 def _masks_of_popcount(num_colors: int, pc: int) -> tuple[int, ...]:
+    """The color sets of size pc in combination order: column i is entry i."""
     return tuple(
         sum(1 << b for b in comb)
         for comb in itertools.combinations(range(num_colors), pc)
@@ -159,13 +159,21 @@ def _masks_of_popcount(num_colors: int, pc: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _disjoint_pairs(num_colors: int, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
-    pairs = []
-    for s1 in _masks_of_popcount(num_colors, a):
-        for s2 in _masks_of_popcount(num_colors, b):
-            if not s1 & s2:
-                pairs.append((s1, s2, s1 | s2))
-    return tuple(pairs)
+def _union_table(num_colors: int, a: int, b: int) -> np.ndarray:
+    """Rows (i1, i2, iu): a-set column i1 and b-set column i2 are disjoint,
+    and iu is their union's column.  Empty when a + b > num_colors."""
+    union_col = {m: i for i, m in enumerate(_masks_of_popcount(num_colors, a + b))}
+    table = np.array(
+        [
+            (i1, i2, union_col[s1 | s2])
+            for i1, s1 in enumerate(_masks_of_popcount(num_colors, a))
+            for i2, s2 in enumerate(_masks_of_popcount(num_colors, b))
+            if not s1 & s2
+        ],
+        np.intp,
+    ).reshape(-1, 3)
+    table.flags.writeable = False
+    return table
 
 
 def _pack_bits(bools: np.ndarray) -> np.ndarray:
@@ -191,21 +199,23 @@ def _shape_keys(pattern: PatternTree) -> list[tuple]:
     return keys
 
 
-def _merge(cur: np.ndarray, reach: np.ndarray, pairs) -> np.ndarray:
-    """Fold one child's reached family into a prefix family (last axis: color sets)."""
-    new = np.zeros_like(cur)
-    for s1, s2, un in pairs:
-        new[..., un] |= cur[..., s1] & reach[..., s2]
+def _merge(cur: np.ndarray, reach: np.ndarray, num_colors: int, a: int, b: int) -> np.ndarray:
+    """Fold a child's reached family on b-sets into a prefix family on a-sets."""
+    new = np.zeros(cur.shape[:-1] + (math.comb(num_colors, a + b),), np.uint64)
+    for i1, i2, iu in _union_table(num_colors, a, b).tolist():
+        new[..., iu] |= cur[..., i1] & reach[..., i2]
     return new
 
 
 class _PackedDp:
     """The DP's families for a [B, H] array of 0-based colors.
 
-    Bit j of ``fam[x][w, h, m]`` says that coloring 64w+j admits a colorful
+    Bit j of ``fam[x][w, h, i]`` says that coloring 64w+j admits a colorful
     copy of the subtree of node x rooted at host vertex h on exactly the color
-    set m.  Nodes with identical subtree shapes share one array.  The root is
-    evaluated only at single host vertices, by ``stages``.
+    set ``_masks_of_popcount(C, s)[i]``, where s is the subtree's size, so the
+    array has comb(C, s) columns; ``base`` is the s = 1 family.  Nodes with
+    identical subtree shapes share one array.  The root is evaluated only at
+    single host vertices, by ``stages``.
     """
 
     def __init__(
@@ -217,15 +227,14 @@ class _PackedDp:
         if H != host.n:
             raise ValueError("color array width must match the host")
         C = num_colors
-        M = 1 << C
         padded_rows = -(-B // 64) * 64
         W = padded_rows // 64
         idx = np.full((padded_rows, H), -1, dtype=np.int32)
         idx[:B] = color_idx
 
-        base = np.zeros((W, H, M), np.uint64)
-        for c in range(C):
-            base[:, :, 1 << c] = _pack_bits(idx == c)
+        base = np.zeros((W, H, C), np.uint64)
+        for c in range(C):  # the 1-sets in combination order are 1 << c
+            base[:, :, c] = _pack_bits(idx == c)
 
         keys = _shape_keys(pattern)
         sizes = pattern.subtree_sizes
@@ -251,7 +260,7 @@ class _PackedDp:
             for ck in key:
                 if ck not in reach_memo:
                     reach_memo[ck] = reach_of(fam[ck])
-                cur = _merge(cur, reach_memo[ck], _disjoint_pairs(C, acc, size_of[ck]))
+                cur = _merge(cur, reach_memo[ck], C, acc, size_of[ck])
                 acc += size_of[ck]
             fam[key] = cur
         self.pattern = pattern
@@ -260,24 +269,31 @@ class _PackedDp:
         self.base = base
         self.fam = [fam.get(key) for key in keys]
 
-    def stages(self, x: int, h: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def stages(
+        self, x: int, h: int, last: bool = True
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Merge stages of node x at host vertex h, children in pattern order.
 
-        Returns ``(prefixes, reaches)`` of [W, 2**C] arrays: ``prefixes[0]`` is
-        h's own color, and ``prefixes[i + 1]`` folds in child i, whose family
-        reached over the arcs out of h is ``reaches[i]``.
+        Returns ``(prefixes, reaches)`` of [W, comb(C, s)] arrays, s being the
+        number of nodes each covers: ``prefixes[0]`` is h's own color, and
+        ``prefixes[i + 1]`` folds in child i, whose family reached over the
+        arcs out of h is ``reaches[i]``.  With ``last=False`` the final fold,
+        which only the root's color sets need, is skipped.
         """
         out_h = self.host.out_lists[h]
+        kids = self.pattern.children[x]
         cur = self.base[:, h, :]
         prefixes, reaches = [cur], []
         acc = 1
-        for c in self.pattern.children[x]:
+        for i, c in enumerate(kids):
             reach = np.bitwise_or.reduce(self.fam[c][:, out_h, :], axis=1)  # 0 if no arcs
+            reaches.append(reach)
+            if not last and i == len(kids) - 1:
+                break
             size = self.pattern.subtree_sizes[c]
-            cur = _merge(cur, reach, _disjoint_pairs(self.num_colors, acc, size))
+            cur = _merge(cur, reach, self.num_colors, acc, size)
             acc += size
             prefixes.append(cur)
-            reaches.append(reach)
         return prefixes, reaches
 
 
@@ -331,29 +347,36 @@ def embed_colorful_tree(
             raise ValueError(f"coloring misses host vertex {v}")
 
     row = np.array([[col.color_of[v] - 1 for v in range(host.n)]], np.int32)
-    dp = _PackedDp(pattern, host, row, col.num_colors)
+    C = col.num_colors
+    dp = _PackedDp(pattern, host, row, C)
     mapping: dict[int, int] = {}
 
     # one coloring sits in bit 0 and the padding bits are zero, so a word is
-    # nonzero exactly when that coloring's bit is set
-    def rebuild(x: int, h: int, mask: int, stages) -> None:
+    # nonzero exactly when that coloring's bit is set; ``i`` is the column of
+    # node x's color set among the sets of its subtree's size
+    def rebuild(x: int, h: int, i: int, stages) -> None:
         mapping[x] = h
         prefixes, reaches = stages
         kids = pattern.children[x]
         out_h = host.out_lists[h]
-        for i in reversed(range(len(kids))):
-            reach = reaches[i][0] != 0
-            s1s = np.flatnonzero(prefixes[i][0])  # ascending color sets
-            s1 = int(s1s[((s1s & mask) == s1s) & reach[s1s ^ mask]][0])
-            h2 = next(v for v in out_h if dp.fam[kids[i]][0, v, mask ^ s1])
-            rebuild(kids[i], h2, mask ^ s1, dp.stages(kids[i], h2))
-            mask = s1
+        acc = pattern.subtree_sizes[x]
+        for j in reversed(range(len(kids))):
+            size = pattern.subtree_sizes[kids[j]]
+            acc -= size
+            i1, i2, iu = _union_table(C, acc, size).T
+            ok = np.flatnonzero((iu == i) & (prefixes[j][0, i1] != 0) & (reaches[j][0, i2] != 0))
+            # the least prefix set by mask value, not by column
+            best = ok[np.argmin(np.asarray(_masks_of_popcount(C, acc))[i1[ok]])]
+            i, rest = int(i1[best]), int(i2[best])
+            h2 = next(v for v in out_h if dp.fam[kids[j]][0, v, rest])
+            rebuild(kids[j], h2, rest, dp.stages(kids[j], h2, last=False))
 
     stages = dp.stages(pattern.root, d)
-    masks = np.flatnonzero(stages[0][-1][0])
-    if not masks.size:
+    cols = np.flatnonzero(stages[0][-1][0])
+    if not cols.size:
         return None
-    rebuild(pattern.root, d, int(masks[0]), stages)
+    masks = np.asarray(_masks_of_popcount(C, pattern.n))[cols]
+    rebuild(pattern.root, d, int(cols[np.argmin(masks)]), stages)  # least root set
     emb = Embedding(mapping)
     _check_embedding(pattern, host, f, d, col, emb)
     return emb

@@ -208,9 +208,10 @@ def _wwf_from_embedding(t: Tournament, pattern: PatternTree, emb: Embedding, k: 
 def find_wwf(t: Tournament, cfg: IndegConfig = IndegConfig()) -> Wwf | None:
     """Search for a witness forest by repeated random colorings.
 
-    Draws happen one iteration at a time off ``cfg.rng_seed`` but are decided
-    in batches; a hit reports the lowest iteration index in the batch, so the
-    result for a given seed is identical to deciding draws one by one.
+    Draws come off ``cfg.rng_seed`` in the order of one draw per iteration
+    but are made and decided in batches; a hit reports the lowest iteration
+    index in the batch, so the result for a given seed is identical to
+    deciding draws one by one.
     Returns None once the budget is exhausted (see the module docstring for
     the failure bound).
     """
@@ -226,9 +227,8 @@ def find_wwf(t: Tournament, cfg: IndegConfig = IndegConfig()) -> Wwf | None:
     ins = sorted(t.in_neighbors)
     others = sorted(t.out_neighbors | {t.vstar})
     for chunk in _chunk_sizes(budget):
-        draws = np.stack(
-            [rng.integers(k + 1, hi + 1, size=n - k) for _ in range(chunk)]
-        )
+        # one call per chunk yields the same stream as one call per row
+        draws = rng.integers(k + 1, hi + 1, size=(chunk, n - k))
         color_idx = np.empty((chunk, n + 1), np.int32)
         for i, v in enumerate(ins):
             color_idx[:, v] = i

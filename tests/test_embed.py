@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from tfpsolve import (
     PatternTree,
     Tournament,
     brute_force_decide,
+    build_host,
+    build_pattern_forest,
     embed_colorful_tree,
     gen_random,
     is_lba,
     solve_exact,
 )
-from tfpsolve.embed import _decide_colorful_batch, _winners_table
+from tfpsolve.embed import _decide_colorful_batch, _PackedDp, _winners_table
 
 
 def brute_embed(pattern, host, d, col):
@@ -129,6 +132,35 @@ class TestEngine:
         with pytest.raises(ValueError):
             embed_colorful_tree(p, h, 0, 0, col)
 
+    @pytest.mark.parametrize(
+        "parents, masks, colors, d, expect",
+        [
+            # the least root color set is {2, 3, 4, 5, 7} (mask 188), whose
+            # column among the 5-subsets of 8 colors is not the least one
+            (
+                (-1, 0, 1, 1, 2),
+                (226, 189, 250, 198, 229, 142, 188, 54),
+                (3, 7, 8, 2, 1, 5, 5, 4),
+                6,
+                {0: 6, 1: 3, 2: 7, 3: 1, 4: 4},
+            ),
+            # at the root's second merge the least prefix set by mask value
+            # is not the first one in combination order
+            (
+                (-1, 0, 0, 1, 2),
+                (472, 244, 344, 487, 234, 91, 33, 305, 255),
+                (3, 2, 1, 1, 5, 4, 2, 2, 4),
+                1,
+                {0: 1, 1: 5, 2: 2, 3: 0, 4: 4},
+            ),
+        ],
+    )
+    def test_witness_tie_breaks_by_mask_value(self, parents, masks, colors, d, expect):
+        pattern = PatternTree(parents=parents, root=0)
+        col = Coloring(color_of=dict(enumerate(colors)), num_colors=max(colors))
+        emb = embed_colorful_tree(pattern, HostGraph(out_masks=masks), 0, d, col)
+        assert emb.mapping == expect
+
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(2024)
         hits = 0
@@ -162,7 +194,8 @@ class TestBatchEngine:
             hn = int(rng.integers(pn, 7))
             pattern = random_pattern(rng, pn)
             host = random_host(rng, hn)
-            ncol = int(rng.integers(pn, pn + 3))
+            # palettes smaller than the pattern merge through empty tables
+            ncol = int(rng.integers(max(1, pn - 1), pn + 3))
             d = int(rng.integers(0, hn))
             idx = rng.integers(0, ncol, size=(130, hn)).astype(np.int32)
             got = _decide_colorful_batch(pattern, host, d, idx, num_colors=ncol)
@@ -175,6 +208,17 @@ class TestBatchEngine:
             decided += len(idx)
             hits += int(got.sum())
         assert 0.1 * decided < hits < 0.9 * decided
+
+    def test_families_keep_only_their_popcount_columns(self):
+        # a subtree of s nodes is colorful only on s-sets: comb(C, s) columns
+        p = build_pattern_forest(2)
+        host = build_host(gen_random(32, 2, seed=3))
+        idx = np.random.default_rng(0).integers(0, 9, size=(100, host.n)).astype(np.int32)
+        dp = _PackedDp(p, host, idx, num_colors=9)
+        assert dp.base.shape == (2, host.n, 9)
+        for x in range(p.n):
+            if x != p.root:
+                assert dp.fam[x].shape == (2, host.n, math.comb(9, p.subtree_sizes[x]))
 
     def test_color_cap(self):
         p = PatternTree(parents=(-1,), root=0)

@@ -155,6 +155,28 @@ class TestFindWwf:
         emb = embed_colorful_tree(build_pattern_forest(2), host, 0, t.n, col)
         assert (w is not None) == (emb is not None)
 
+    def test_every_batch_row_matches_sequential_draws(self, monkeypatch):
+        # every row of every chunk, not just the first, is the coloring that
+        # one sample_coloring call per iteration would draw
+        t = gen_random(16, 2, seed=9)
+        cfg = IndegConfig(rng_seed=31, iteration_multiplier=0.5)
+        assert _iteration_budget(6, cfg) == 202  # chunks of 64, 128 and 10
+        rows = []
+
+        def record(pattern, host, d, color_idx, num_colors):
+            rows.append(color_idx.copy())
+            return np.zeros(len(color_idx), bool)  # never hit: use every draw
+
+        monkeypatch.setattr(tfpsolve.indeg, "_decide_colorful_batch", record)
+        assert find_wwf(t, cfg) is None
+        assert [len(r) for r in rows] == _chunk_sizes(202)
+        rng = np.random.default_rng(31)
+        expect = []
+        for _ in range(202):
+            col = sample_coloring(t, rng)
+            expect.append([col.color_of[v] - 1 for v in range(t.n)] + [8])  # stem: 8
+        assert np.array_equal(np.concatenate(rows), np.array(expect))
+
     def test_no_instance_exhausts_budget(self):
         t = dominating_conquerors(16)
         assert find_wwf(t, IndegConfig(rng_seed=0, iteration_multiplier=0.5)) is None
