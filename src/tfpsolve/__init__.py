@@ -44,7 +44,6 @@ from .embed import (
 )
 from .indeg import (
     IndegConfig,
-    Wwf,
     build_host,
     build_pattern_forest,
     complete_wwf,
@@ -58,6 +57,7 @@ from .instances import gen_planted_yes, gen_random
 from .oracles import (
     NicenessReport,
     OracleLimitError,
+    Wwf,
     brute_force_decide,
     brute_force_wwf,
     enumerate_seedings,

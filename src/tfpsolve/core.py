@@ -1,4 +1,13 @@
-"""Tournament digraphs, bracket seedings, and knockout simulation."""
+"""Tournament digraphs, bracket seedings, and knockout simulation.
+
+A tournament's canonical form is ``out_masks``: one Python-int bitmask of
+beaten players per player, which simulation reads one bit at a time.  The
+n-by-n results table around it (parsing, checking, generating and
+formatting the TFP v1 text) goes through bool arrays instead: ``_bits``
+unpacks masks into a matrix and ``_masks`` packs a matrix back, so each of
+those steps is a few whole-array numpy passes over blocks of rows rather
+than a Python loop per cell.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +16,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Match",
@@ -41,6 +52,33 @@ def _is_power_of_two(m: int) -> bool:
     return m > 0 and not m & (m - 1)
 
 
+# Rows per block in the array passes; bounds their temporaries at n=2048.
+_BLOCK = 128
+
+
+def _bits(masks: Sequence[int], n: int) -> np.ndarray:
+    """Bool matrix with ``a[u, v]`` set iff bit v of ``masks[u]`` is.
+
+    Every mask must be a non-negative int below ``2**n``.
+    """
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(masks), width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _columns(masks: Sequence[int], lo: int, hi: int) -> np.ndarray:
+    """Columns lo..hi-1 of the bool matrix of ``masks``, without building the rest."""
+    window = (1 << (hi - lo)) - 1
+    return _bits([m >> lo & window for m in masks], hi - lo)
+
+
+def _masks(a) -> tuple[int, ...]:
+    """Row bitmasks of a bool matrix: bit v of row u is set iff ``a[u, v]``."""
+    packed = np.packbits(np.asarray(a, bool), axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 @dataclass(frozen=True)
 class Tournament:
     """Complete orientation of all player pairs, with a designated favorite.
@@ -71,16 +109,21 @@ class Tournament:
                 raise ValueError(f"row {u} has bits outside the player range")
             if row >> u & 1:
                 raise ValueError(f"player {u} listed as beating itself")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.out_masks[u] >> v & 1) == (self.out_masks[v] >> u & 1):
-                    raise ValueError(f"pair ({u},{v}) is not oriented exactly once")
+        # Off the diagonal exactly one of a[u, v] and a[v, u] holds.  The
+        # clash matrix is symmetric, so its first cell in row-major order is
+        # the least pair (u, v) with u < v.
+        for lo in range(0, self.n, _BLOCK):
+            hi = min(self.n, lo + _BLOCK)
+            clash = _bits(self.out_masks[lo:hi], self.n) == _columns(self.out_masks, lo, hi).T
+            clash[np.arange(hi - lo), np.arange(lo, hi)] = False
+            if clash.any():
+                u, v = divmod(int(np.argmax(clash)), self.n)
+                raise ValueError(f"pair ({lo + u},{v}) is not oriented exactly once")
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[int]], vstar: int) -> "Tournament":
-        masks = tuple(
-            sum(1 << v for v, cell in enumerate(row) if cell) for row in rows
-        )
+        """Tournament whose player u beats v iff ``rows[u][v]`` is truthy."""
+        masks = _masks(rows)
         return cls(len(masks), vstar, masks)
 
     def beats(self, u: int, v: int) -> bool:
@@ -163,7 +206,8 @@ def parse_tournament(text: str) -> Tournament:
 
     Layout: a literal ``TFP v1`` line, an ``n=<int> vstar=<int>`` line, then n
     rows of n characters where a '1' in row u, column v means u beats v.
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped.  The first defect
+    in reading order is reported by line and column.
     """
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -192,49 +236,75 @@ def parse_tournament(text: str) -> Tournament:
         col = meta.index("vstar=") + len("vstar=") + 1
         raise ParseError(f"vstar={vstar} out of range for n={n}", line2, col)
 
-    rows: list[str] = []
-    row_lines: list[int] = []
-    for i in range(n):
-        lineno, row = need(2 + i, f"matrix row {i}")
-        if len(row) != n:
-            raise ParseError(
-                f"matrix row {i} has {len(row)} cells, expected {n}",
-                lineno,
-                min(len(row), n) + 1,
-            )
-        for j, ch in enumerate(row):
-            if ch not in "01":
-                raise ParseError(
-                    f"matrix cell must be '0' or '1', got {ch!r}", lineno, j + 1
-                )
-            if j == i and ch == "1":
-                raise ParseError(
-                    f"diagonal cell ({i},{i}) must be '0'", lineno, j + 1
-                )
-            if j < i and ch == rows[j][i]:
-                how = "oriented both ways" if ch == "1" else "not oriented"
-                raise ParseError(
-                    f"antisymmetry violation: pair ({j},{i}) is {how}", lineno, j + 1
-                )
-        rows.append(row)
-        row_lines.append(lineno)
+    body = lines[2 : 2 + n]
+    rows = [row for _, row in body]
+    masks, first_bad = _row_masks(rows, n)
+    if first_bad < len(rows):
+        _check_row(first_bad, rows, n, body[first_bad][0])
+        raise AssertionError(f"matrix row {first_bad} flagged without a defect")
+    if len(rows) < n:
+        need(2 + len(rows), f"matrix row {len(rows)}")
     if len(lines) > 2 + n:
         raise ParseError("unexpected trailing content", lines[2 + n][0], 1)
+    return Tournament(n, vstar, tuple(masks))
 
-    masks = tuple(
-        sum(1 << v for v, ch in enumerate(row) if ch == "1") for row in rows
-    )
-    return Tournament(n, vstar, masks)
+
+def _row_masks(rows: list[str], n: int) -> tuple[list[int], int]:
+    """Masks of the rows read, and the index of the first row with a defect.
+
+    A row has a defect when it is not n ASCII cells, when a cell is not
+    '0'/'1', when its diagonal cell is '1', or when a cell repeats its
+    mirror in an earlier row.  The index is ``len(rows)`` when no row has
+    one.  Rows are read a block at a time and the mirror cells come from
+    the masks already built, so no n-by-n matrix is held.
+    """
+    m = next((i for i, row in enumerate(rows) if len(row) != n or not row.isascii()), len(rows))
+    masks: list[int] = []
+    for lo in range(0, m, _BLOCK):
+        hi = min(m, lo + _BLOCK)
+        cells = np.array(rows[lo:hi], dtype=f"S{n}").view(np.uint8).reshape(hi - lo, n)
+        a = cells == ord("1")
+        masks += _masks(a)
+        mirror = _columns(masks, lo, hi).T  # a[j, i] at [i - lo, j]
+        defect = ((cells | 1) != ord("1")).any(axis=1)
+        defect |= a[np.arange(hi - lo), np.arange(lo, hi)]
+        defect |= np.tril(a[:, :hi] == mirror, lo - 1).any(axis=1)
+        if defect.any():
+            return masks, lo + int(np.argmax(defect))
+    return masks, m
+
+
+def _check_row(i: int, rows: list[str], n: int, lineno: int) -> None:
+    """Raise the ParseError for the first defect of row i, scanning cell by cell."""
+    row = rows[i]
+    if len(row) != n:
+        raise ParseError(
+            f"matrix row {i} has {len(row)} cells, expected {n}",
+            lineno,
+            min(len(row), n) + 1,
+        )
+    for j, ch in enumerate(row):
+        if ch not in "01":
+            raise ParseError(f"matrix cell must be '0' or '1', got {ch!r}", lineno, j + 1)
+        if j == i and ch == "1":
+            raise ParseError(f"diagonal cell ({i},{i}) must be '0'", lineno, j + 1)
+        if j < i and ch == rows[j][i]:
+            how = "oriented both ways" if ch == "1" else "not oriented"
+            raise ParseError(
+                f"antisymmetry violation: pair ({j},{i}) is {how}", lineno, j + 1
+            )
 
 
 def format_tournament(t: Tournament, comments: Iterable[str] = ()) -> str:
     """Render a tournament in the TFP v1 format parsed by parse_tournament."""
-    out = [f"# {c}" for c in comments]
-    out.append("TFP v1")
-    out.append(f"n={t.n} vstar={t.vstar}")
-    for u in range(t.n):
-        out.append("".join("1" if t.beats(u, v) else "0" for v in range(t.n)))
-    return "\n".join(out) + "\n"
+    out = [f"# {c}\n" for c in comments]
+    out.append(f"TFP v1\nn={t.n} vstar={t.vstar}\n")
+    for lo in range(0, t.n, _BLOCK):
+        rows = _bits(t.out_masks[lo : lo + _BLOCK], t.n)
+        cells = np.full((len(rows), t.n + 1), ord("\n"), np.uint8)
+        cells[:, : t.n] = rows.view(np.uint8) + ord("0")
+        out.append(cells.tobytes().decode("ascii"))
+    return "".join(out)
 
 
 def bracket_rounds(t: Tournament, order: Sequence[int]) -> list[list[Match]]:

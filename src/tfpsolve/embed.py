@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .arborescence import Lba
-from .core import Tournament
+from .core import Tournament, _bits
 
 __all__ = [
     "PatternTree",
@@ -116,11 +116,7 @@ class HostGraph:
     @cached_property
     def out_lists(self) -> tuple[list[int], ...]:
         """Out-neighbors of every vertex in ascending order, built once per host."""
-        width = (self.n + 7) // 8
-        raw = b"".join(m.to_bytes(width, "little") for m in self.out_masks)
-        rows = np.frombuffer(raw, np.uint8).reshape(self.n, width)
-        bits = np.unpackbits(rows, axis=1, bitorder="little")
-        return tuple(np.flatnonzero(row).tolist() for row in bits)
+        return tuple(np.flatnonzero(row).tolist() for row in _bits(self.out_masks, self.n))
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from .embed import (
     embed_colorful_tree,
     solve_exact,
 )
-from .oracles import brute_force_decide
+from .oracles import Wwf, brute_force_decide, is_wwf
 
 __all__ = [
     "Wwf",
@@ -73,13 +73,6 @@ __all__ = [
 ALGOS = ("auto", "brute", "exact", "outdeg", "indeg")
 
 _BUDGET_CAP = 100_000_000
-
-
-@dataclass(frozen=True)
-class Wwf:
-    """Witness forest: disjoint bracket-shaped trees covering the in-set."""
-
-    trees: tuple[Lba, ...]
 
 
 @dataclass(frozen=True)
@@ -242,8 +235,6 @@ def find_wwf(t: Tournament, cfg: IndegConfig = IndegConfig()) -> Wwf | None:
             if emb is None:
                 raise AssertionError("batch decision disagreed with the engine")
             wwf = _wwf_from_embedding(t, pattern, emb, k)
-            from .oracles import is_wwf
-
             if not is_wwf(t, wwf):
                 raise AssertionError("embedded forest failed the witness checks")
             return wwf

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arborescence import Lba, lba_to_seeding
-from .core import Seeding, Tournament, champion_of
+from .core import _BLOCK, Seeding, Tournament, _masks, champion_of
 
 __all__ = ["gen_random", "gen_planted_yes"]
 
@@ -24,27 +24,41 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"the favorite's loss count must be in 0..{n - 1}, got {k}")
 
 
+def _coin_flips(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Bool results table with every pair of players 1..n-1 oriented by a coin.
+
+    Pairs (u, v), u < v, take coins from ``rng.integers(0, 2)`` in row-major
+    order, 1 meaning u beats v.  The coins are drawn a block of rows at a
+    time, which gives the same stream as one call for all of them.  The
+    favorite's row and column stay empty.
+    """
+    a = np.zeros((n, n), bool)
+    sub = a[1:, 1:]
+    m = n - 1
+    for lo in range(0, m, _BLOCK):
+        hi = min(m, lo + _BLOCK)
+        upper = np.arange(m) > np.arange(lo, hi)[:, None]
+        sub[lo:hi][upper] = rng.integers(0, 2, size=int(upper.sum()))
+        # the mirror cells below the diagonal: v beats u iff u does not beat v
+        sub[lo:hi, :hi] |= np.tril(~sub[:hi, lo:hi].T, lo - 1)
+    return a
+
+
+def _set_favorite(a: np.ndarray, ins: set[int]) -> None:
+    """Player 0 loses to the players in ``ins`` and beats everyone else."""
+    a[0, 1:] = True
+    for v in ins:
+        a[0, v], a[v, 0] = False, True
+
+
 def gen_random(n: int, k: int, seed: int = 0) -> Tournament:
     """Uniform-ish instance: k conquerors chosen at random, coin flips elsewhere."""
     _check_nk(n, k)
     rng = np.random.default_rng(seed)
     ins = {int(v) for v in rng.choice(np.arange(1, n), size=k, replace=False)} if k else set()
-    coins = rng.integers(0, 2, size=(n - 1) * (n - 2) // 2)
-    out = [0] * n
-    for v in range(1, n):
-        if v in ins:
-            out[v] |= 1
-        else:
-            out[0] |= 1 << v
-    idx = 0
-    for u in range(1, n):
-        for v in range(u + 1, n):
-            if coins[idx]:
-                out[u] |= 1 << v
-            else:
-                out[v] |= 1 << u
-            idx += 1
-    return Tournament(n=n, vstar=0, out_masks=tuple(out))
+    a = _coin_flips(n, rng)
+    _set_favorite(a, ins)
+    return Tournament(n=n, vstar=0, out_masks=_masks(a))
 
 
 def gen_planted_yes(n: int, k: int, seed: int = 0) -> tuple[Tournament, Seeding]:
@@ -68,29 +82,14 @@ def gen_planted_yes(n: int, k: int, seed: int = 0) -> tuple[Tournament, Seeding]
     root_kids = {1 << j for j in range(rounds)}
     non_kids = sorted(label[i] for i in range(1, n) if i not in root_kids)
     ins = {int(v) for v in rng.choice(np.array(non_kids), size=k, replace=False)} if k else set()
-    coins = rng.integers(0, 2, size=(n - 1) * (n - 2) // 2)
-
-    forced: dict[tuple[int, int], int] = {}
+    a = _coin_flips(n, rng)
     for i in range(1, n):
         p = i & (i - 1)
-        if p:
+        if p:  # the favorite's own planted arcs come from _set_favorite
             w, l = label[p], label[i]
-            forced[(min(w, l), max(w, l))] = w
-
-    out = [0] * n
-    for v in range(1, n):
-        if v in ins:
-            out[v] |= 1
-        else:
-            out[0] |= 1 << v
-    idx = 0
-    for u in range(1, n):
-        for v in range(u + 1, n):
-            w = forced.get((u, v), u if coins[idx] else v)
-            l = v if w == u else u
-            out[w] |= 1 << l
-            idx += 1
-    t = Tournament(n=n, vstar=0, out_masks=tuple(out))
+            a[w, l], a[l, w] = True, False
+    _set_favorite(a, ins)
+    t = Tournament(n=n, vstar=0, out_masks=_masks(a))
     planted = Lba(root=0, parent={label[i]: label[i & (i - 1)] for i in range(1, n)})
     s = lba_to_seeding(planted)
     if champion_of(t, s.leaf_order) != 0:

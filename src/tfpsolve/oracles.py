@@ -34,6 +34,7 @@ __all__ = [
     "niceness",
     "repair_to_nice",
     "extract_local_lba",
+    "Wwf",
     "is_wwf",
     "brute_force_wwf",
 ]
@@ -178,6 +179,13 @@ def extract_local_lba(t: Tournament, full: Lba, b: int) -> Lba:
     return sub
 
 
+@dataclass(frozen=True)
+class Wwf:
+    """Witness forest: disjoint bracket-shaped trees covering the in-set."""
+
+    trees: tuple[Lba, ...]
+
+
 def is_wwf(t: Tournament, w) -> bool:
     """Check the witness-forest conditions; accepts a Wwf or a tree sequence.
 
@@ -211,7 +219,7 @@ def _lba_from_order(t: Tournament, order: Sequence[int]) -> Lba:
     return Lba(root=champion_of(t, order), parent=parent)
 
 
-def brute_force_wwf(t: Tournament) -> "Wwf | None":  # noqa: F821
+def brute_force_wwf(t: Tournament) -> Wwf | None:
     """Backtracking search for a witness forest; None when none exists.
 
     Blocks are chosen for the smallest not-yet-covered conqueror of the
@@ -223,8 +231,6 @@ def brute_force_wwf(t: Tournament) -> "Wwf | None":  # noqa: F821
     """
     if t.n > _WWF_MAX_N:
         raise OracleLimitError(f"witness-forest search is capped at {_WWF_MAX_N} players")
-    from .indeg import Wwf
-
     k = t.k
     size = 1 << k
     if k == 0:

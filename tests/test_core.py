@@ -50,6 +50,128 @@ class TestTournament:
         m = [[0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 0], [0, 0, 1, 0]]
         assert Tournament.from_matrix(m, vstar=0) == t4_yes
 
+    def test_from_matrix_numpy_bool(self, t4_yes):
+        m = np.array([[0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 0], [0, 0, 1, 0]], bool)
+        got = Tournament.from_matrix(m, vstar=0)
+        assert got == t4_yes
+        assert all(type(v) is int for v in got.out_masks)
+        t = gen_random(128, 3, seed=5)
+        a = np.array([[t.beats(u, v) for v in range(128)] for u in range(128)])
+        assert Tournament.from_matrix(a, vstar=0) == t
+
+    def test_names_first_bad_pair_in_row_major_order(self):
+        # (0,3) and (1,2) are both unoriented; a column-major scan meets (1,2) first
+        with pytest.raises(ValueError, match=r"^pair \(0,3\) is not oriented exactly once$"):
+            Tournament(n=4, vstar=0, out_masks=(0b0010, 0b1000, 0b1001, 0))
+        # (0,3) and (1,2) are both oriented both ways
+        with pytest.raises(ValueError, match=r"^pair \(0,3\) is not oriented exactly once$"):
+            Tournament(n=4, vstar=0, out_masks=(0b1010, 0b1100, 0b1011, 0b0001))
+
+    def test_self_loop_wins_over_bad_pair(self):
+        with pytest.raises(ValueError, match=r"^player 2 listed as beating itself$"):
+            Tournament(n=4, vstar=0, out_masks=(0, 0, 0b0100, 0))
+
+    @pytest.mark.parametrize("bad", [-1, -5, np.int64(-1), 1 << 4, 1 << 70])
+    def test_mask_outside_range_is_value_error(self, bad):
+        with pytest.raises(ValueError, match=r"^row 1 has bits outside the player range$"):
+            Tournament(n=4, vstar=0, out_masks=(0b1010, bad, 1, 4))
+
+    def test_numpy_integer_masks_at_n128(self):
+        # transitive: u beats every v < u, so rows below 64 fit a numpy integer
+        masks = tuple((1 << u) - 1 for u in range(128))
+        mixed = tuple(
+            np.int64(m) if u < 63 else np.uint64(m) if u < 64 else m
+            for u, m in enumerate(masks)
+        )
+        got = Tournament(n=128, vstar=127, out_masks=mixed)
+        assert got == Tournament(n=128, vstar=127, out_masks=masks)
+        assert all(type(v) is int for v in got.out_masks)
+        assert got.k == 0 and got.ell == 127
+        with pytest.raises(ValueError, match=r"^row 5 has bits outside the player range$"):
+            Tournament(n=128, vstar=0, out_masks=mixed[:5] + (np.int64(-1),) + mixed[6:])
+
+
+_H4 = "TFP v1\nn=4 vstar=0\n"
+
+
+def _n256_with_last_row(last: str) -> str:
+    """Player u beats every v > u; the last row is replaced by ``last``."""
+    rows = ["0" * (u + 1) + "1" * (255 - u) for u in range(256)]
+    rows[-1] = last
+    return "TFP v1\nn=256 vstar=0\n" + "\n".join(rows) + "\n"
+
+
+# (text, message, line, col) of the first defect, as the row-by-row scan reports it
+PARSE_ERRORS = {
+    "bad_cell_before_short_row": (
+        _H4 + "0101\n0x11\n100\n0010\n", "matrix cell must be '0' or '1', got 'x'", 4, 2
+    ),
+    "short_row_before_bad_cell": (
+        _H4 + "0101\n001\n1x00\n0010\n", "matrix row 1 has 3 cells, expected 4", 4, 4
+    ),
+    "long_row": (_H4 + "0101\n00110\n1000\n0010\n", "matrix row 1 has 5 cells, expected 4", 4, 5),
+    "both_ways_before_bad_char": (
+        _H4 + "0101\n0011\n110x\n0010\n",
+        "antisymmetry violation: pair (1,2) is oriented both ways",
+        5,
+        2,
+    ),
+    "not_oriented_before_bad_char": (
+        _H4 + "0101\n0011\n000x\n0010\n",
+        "antisymmetry violation: pair (0,2) is not oriented",
+        5,
+        1,
+    ),
+    "bad_char_before_clash": (
+        _H4 + "0101\n0011\nx000\n0010\n", "matrix cell must be '0' or '1', got 'x'", 5, 1
+    ),
+    "diagonal_one": (_H4 + "0101\n0111\n1000\n0010\n", "diagonal cell (1,1) must be '0'", 4, 2),
+    "non_ascii_cell": (
+        _H4 + "0101\n0\u00e911\n1000\n0010\n", "matrix cell must be '0' or '1', got '\u00e9'", 4, 2
+    ),
+    "non_ascii_after_clash": (
+        _H4 + "0101\n0011\n010\u00e9\n0010\n",
+        "antisymmetry violation: pair (0,2) is not oriented",
+        5,
+        1,
+    ),
+    "space_inside_row": (
+        _H4 + "0101\n00 1\n1000\n0010\n", "matrix cell must be '0' or '1', got ' '", 4, 3
+    ),
+    "tab_inside_row": (
+        _H4 + "0101\n0011\n1\t00\n0010\n", "matrix cell must be '0' or '1', got '\\t'", 5, 2
+    ),
+    "fullwidth_digit": (
+        _H4 + "0101\n0011\n1000\n001\uff10\n", "matrix cell must be '0' or '1', got '\uff10'", 6, 4
+    ),
+    "comments_shift_lines": (
+        "# c\n\nTFP v1\n# x\nn=4 vstar=0\n\n0101\n# mid\n0011\n\n1002\n0010\n",
+        "matrix cell must be '0' or '1', got '2'",
+        11,
+        4,
+    ),
+    "crlf_with_whitespace": (
+        "TFP v1\r\n n=4 vstar=0 \r\n  0101 \r\n\t0011\r\n1000  \r\n 0011\r\n",
+        "diagonal cell (3,3) must be '0'",
+        6,
+        4,
+    ),
+    "truncated_after_good_rows": (
+        _H4 + "0101\n0011\n", "unexpected end of input: expected matrix row 2", 4, 1
+    ),
+    "defect_before_truncation": (_H4 + "0101\n0111\n", "diagonal cell (1,1) must be '0'", 4, 2),
+    "trailing_after_rows": (_H4 + "0101\n0011\n1000\n0010\nxyz\n", "unexpected trailing content", 7, 1),
+    "n256_last_row_clash": (
+        _n256_with_last_row("0" * 254 + "10"),
+        "antisymmetry violation: pair (254,255) is oriented both ways",
+        258,
+        255,
+    ),
+    "n256_last_row_bad_char": (
+        _n256_with_last_row("0" * 255 + "x"), "matrix cell must be '0' or '1', got 'x'", 258, 256
+    ),
+}
+
 
 class TestParser:
     def test_reference_yes(self, t4_yes):
@@ -126,6 +248,13 @@ class TestParser:
     @given(tournaments())
     def test_format_parse_round_trip(self, t):
         assert parse_tournament(format_tournament(t)) == t
+
+    @pytest.mark.parametrize("case", PARSE_ERRORS)
+    def test_first_defect_message_line_col(self, case):
+        text, message, line, col = PARSE_ERRORS[case]
+        with pytest.raises(ParseError) as e:
+            parse_tournament(text)
+        assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
 
 
 class TestSeeding:

@@ -1,13 +1,80 @@
+import hashlib
+
 import pytest
 
 from tfpsolve import (
     Seeding,
     champion_of,
+    format_tournament,
     gen_planted_yes,
     gen_random,
     niceness,
+    parse_tournament,
     simulate,
 )
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of format_tournament(gen_random(n, k, seed)); a change breaks every stored instance
+RANDOM_PINS = {
+    (2, 1, 0): "3146fa51283265a1299f5b38ccc099511885a7f35328e952c302f44fa1c8da3a",
+    (16, 3, 1): "e063024f72f802d0b314d485bac7ac504889404b0a54e48f788c896ff6ae7229",
+    (64, 2, 7): "aa2aa9a2d685fa5b902d8f38bea3c0e9e21f5861852bf051a249186f5659373b",
+    (256, 5, 3): "33839656bf9a0ed96c3e685a98e9b127e141c42e56fb455d006487f05e6b9bc8",
+    (2048, 5, 11): "fc0bdc27578192235ce3bdc2715ba27894ac998c3eb5232bb4ef8ced815d6387",
+}
+
+# sha256 of the formatted gen_planted_yes(n, k, seed) instance and of its witness
+PLANTED_PINS = {
+    (2, 0, 0): (
+        "f40ba9aa83c830609e3781e281478fe147ea74fa179534de16f6050d1193be82",
+        "5cc3a6551605a0b4e9c3334f5eb5554c404973daf0b1a58655fa29c0ba3d47b0",
+    ),
+    (16, 2, 4): (
+        "47f4e8766a64264c142976f881638e9dcfad7988139d88cc5250a8f0e5f56c60",
+        "f02b27a3afed95288a58c3864e16a4a3f14362d0c5e3d7c529c00c69c03dc21e",
+    ),
+    (64, 3, 9): (
+        "fe9e8ec78fbb5338ca399640ae15235f060e6736dc1e67bd974555341714f5ad",
+        "23ecb4ebcbc45b4b9b5f5dfdf50b159de8d30eae3453a34020eb53aa8e5f10c2",
+    ),
+    (256, 2, 5): (
+        "3d211275a2aceb899a4671430db93e8e5e34f706f248c18875b4fc7550683c1b",
+        "30c8ae9d1519a33220aa5c70f7d01d406b9403b87b4ef67e7f74332397f169d3",
+    ),
+    (2048, 5, 0): (
+        "ded7ee011be51fe0c1ddaa94c32b310164564eb1f7c9a087790d441916baff6c",
+        "cdb14fc38fd095ead28a80c099b69f9ba910168c619bf01917e376ac25c36d1a",
+    ),
+}
+
+
+def _nks_id(nks):
+    return "n{}-k{}-seed{}".format(*nks)
+
+
+@pytest.mark.parametrize("nks", RANDOM_PINS, ids=_nks_id)
+def test_gen_random_pinned_text(nks):
+    n, k, seed = nks
+    assert _sha256(format_tournament(gen_random(n, k, seed=seed))) == RANDOM_PINS[nks]
+
+
+@pytest.mark.parametrize("nks", PLANTED_PINS, ids=_nks_id)
+def test_gen_planted_pinned_text(nks):
+    n, k, seed = nks
+    t, s = gen_planted_yes(n, k, seed=seed)
+    got = (_sha256(format_tournament(t)), _sha256(" ".join(map(str, s.leaf_order))))
+    assert got == PLANTED_PINS[nks]
+
+
+def test_planted_round_trip_at_scale():
+    t, s = gen_planted_yes(2048, 5, seed=3)
+    back = parse_tournament(format_tournament(t, comments=("n=2048",)))
+    assert back == t and back.k == 5
+    assert champion_of(back, s.leaf_order) == 0
 
 
 def test_gen_random_degree_and_determinism():
