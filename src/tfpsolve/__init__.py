@@ -10,15 +10,12 @@ point.
 
 from .arborescence import (
     Lba,
-    UbaShape,
     arbitrary_lba,
+    bracket_lba,
     is_lba,
     lba_to_seeding,
     merge_lbas,
-    parse_lba,
     seeding_to_lba,
-    serialize_lba,
-    uba_shape,
 )
 from .core import (
     KnockoutTrace,
@@ -35,7 +32,6 @@ from .core import (
     validate_match_sequence,
 )
 from .embed import (
-    Coloring,
     Embedding,
     HostGraph,
     PatternTree,
@@ -47,7 +43,6 @@ from .indeg import (
     build_host,
     build_pattern_forest,
     complete_wwf,
-    extend_coloring,
     find_wwf,
     pick,
     sample_coloring,
@@ -70,7 +65,6 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coloring",
     "Embedding",
     "HostGraph",
     "IndegConfig",
@@ -82,9 +76,9 @@ __all__ = [
     "PatternTree",
     "Seeding",
     "Tournament",
-    "UbaShape",
     "Wwf",
     "arbitrary_lba",
+    "bracket_lba",
     "bracket_rounds",
     "brute_force_decide",
     "brute_force_wwf",
@@ -94,7 +88,6 @@ __all__ = [
     "complete_wwf",
     "embed_colorful_tree",
     "enumerate_seedings",
-    "extend_coloring",
     "extract_local_lba",
     "find_wwf",
     "format_tournament",
@@ -106,17 +99,14 @@ __all__ = [
     "lba_to_seeding",
     "merge_lbas",
     "niceness",
-    "parse_lba",
     "parse_tournament",
     "pick",
     "repair_to_nice",
     "sample_coloring",
     "seeding_from_sequence",
     "seeding_to_lba",
-    "serialize_lba",
     "simulate",
     "solve",
     "solve_exact",
-    "uba_shape",
     "validate_match_sequence",
 ]

@@ -10,65 +10,19 @@ player can be folded back into a seeding that player wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .core import Seeding, Tournament, bracket_rounds, simulate
+from .core import Seeding, Tournament, bracket_rounds
 
 __all__ = [
-    "UbaShape",
     "Lba",
-    "uba_shape",
     "is_lba",
+    "bracket_lba",
     "seeding_to_lba",
     "lba_to_seeding",
     "arbitrary_lba",
     "merge_lbas",
-    "serialize_lba",
-    "parse_lba",
 ]
-
-
-@dataclass(frozen=True)
-class UbaShape:
-    """Canonical unlabeled binomial arborescence on 2**order nodes.
-
-    Node 0 is the root and the parent of node i > 0 clears i's lowest set
-    bit.  Under that numbering the subtree of node i is the contiguous range
-    [i, i + lowbit(i)), so the root's children 1, 2, 4, ... carry subtrees of
-    sizes 1, 2, 4, ... in ascending order.
-    """
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be non-negative")
-
-    @property
-    def size(self) -> int:
-        return 1 << self.order
-
-    def parent_of(self, i: int) -> int:
-        if not 0 < i < self.size:
-            raise ValueError(f"node {i} has no parent")
-        return i & (i - 1)
-
-    def children_of(self, i: int) -> list[int]:
-        """Children of node i, ascending (equivalently: by subtree size)."""
-        limit = (i & -i) if i else self.size
-        return [i + (1 << j) for j in range(limit.bit_length() - 1)]
-
-    def subtree_size(self, i: int) -> int:
-        return self.size if i == 0 else i & -i
-
-    def parents(self) -> tuple[int, ...]:
-        """Parent of every node, -1 for the root."""
-        return (-1,) + tuple(i & (i - 1) for i in range(1, self.size))
-
-
-def uba_shape(c: int) -> UbaShape:
-    """The (unique) binomial arborescence shape on 2**c nodes."""
-    return UbaShape(c)
 
 
 @dataclass(frozen=True)
@@ -137,11 +91,19 @@ def is_lba(t: Tournament, cand: Lba) -> bool:
     return all(t.beats(p, v) for v, p in cand.parent.items())
 
 
+def bracket_lba(t: Tournament, order: Sequence[int]) -> Lba:
+    """Arborescence of the bracket played over ``order``: every loser hangs
+    off its winner, and the champion is the root."""
+    rounds = bracket_rounds(t, order)
+    parent = {l: w for matches in rounds for w, l in matches}
+    return Lba(root=rounds[-1][0][0] if rounds else order[0], parent=parent)
+
+
 def seeding_to_lba(t: Tournament, s: Seeding) -> Lba:
-    """Spanning arborescence of the bracket ``s``: every loser hangs off its winner."""
-    trace = simulate(t, s)
-    parent = {l: w for matches in trace.rounds for w, l in matches}
-    return Lba(root=trace.champion, parent=parent)
+    """Spanning arborescence of the bracket ``s``."""
+    if s.n != t.n:
+        raise ValueError(f"seeding over {s.n} players does not fit n={t.n}")
+    return bracket_lba(t, s.leaf_order)
 
 
 def lba_to_seeding(l: Lba) -> Seeding:
@@ -172,10 +134,7 @@ def arbitrary_lba(t: Tournament, x: Iterable[int]) -> Lba:
         raise ValueError(f"block size {len(xs)} is not a power of two")
     if not all(0 <= v < t.n for v in xs):
         raise ValueError("block contains unknown players")
-    rounds = bracket_rounds(t, xs)
-    parent = {l: w for matches in rounds for w, l in matches}
-    root = rounds[-1][0][0] if rounds else xs[0]
-    return Lba(root=root, parent=parent)
+    return bracket_lba(t, xs)
 
 
 def merge_lbas(t: Tournament, a: Lba, b: Lba) -> Lba:
@@ -189,25 +148,3 @@ def merge_lbas(t: Tournament, a: Lba, b: Lba) -> Lba:
     parent.update(lose.parent)
     parent[lose.root] = win.root
     return Lba(root=win.root, parent=parent)
-
-
-def serialize_lba(l: Lba) -> str:
-    """Line format: ``lba root=<id>`` then one ``child <v> parent <u>`` per arc."""
-    out = [f"lba root={l.root}"]
-    for v in sorted(l.parent):
-        out.append(f"child {v} parent {l.parent[v]}")
-    return "\n".join(out) + "\n"
-
-
-def parse_lba(text: str) -> Lba:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("lba root="):
-        raise ValueError("expected 'lba root=<id>' header")
-    root = int(lines[0].removeprefix("lba root="))
-    parent = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4 or parts[0] != "child" or parts[2] != "parent":
-            raise ValueError(f"malformed arc line: {ln!r}")
-        parent[int(parts[1])] = int(parts[3])
-    return Lba(root=root, parent=parent)

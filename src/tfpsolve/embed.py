@@ -8,10 +8,12 @@ family of usable color sets.  A subtree of s nodes can only be colorful on
 exactly s colors, so its family keeps one column per s-subset of the
 palette, comb(num_colors, s) in all, and merges go through precomputed
 tables of disjoint pairs.  The DP is bit-packed: it decides many colorings
-of the same pattern/host at once, 64 per machine word.
-``embed_colorful_tree`` runs it on a single coloring and rebuilds a witness
-by backtracking through the families, recomputing the merge stages at each
-host vertex it visits.
+of the same pattern/host at once, 64 per machine word.  A coloring is a
+row of 0-based int colors, one per host vertex, and a batch is a [B, H]
+array of such rows.  ``embed_colorful_tree`` runs the DP on a single row,
+whose palette is 0..max(row), and rebuilds a witness by backtracking
+through the families, recomputing the merge stages at each host vertex it
+visits.
 
 ``solve_exact`` runs the identity coloring.  There a color set IS a player
 set, so the per-(node, vertex) families collapse into one word per subset of
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .arborescence import Lba
 from .core import Tournament, _bits
@@ -35,7 +38,6 @@ from .core import Tournament, _bits
 __all__ = [
     "PatternTree",
     "HostGraph",
-    "Coloring",
     "Embedding",
     "embed_colorful_tree",
     "solve_exact",
@@ -101,7 +103,6 @@ class HostGraph:
     """Digraph over vertices 0..n-1 stored as out-neighbor bitmask rows."""
 
     out_masks: tuple[int, ...]
-    distinguished: int | None = None
 
     def __post_init__(self):
         full = (1 << self.n) - 1
@@ -117,19 +118,6 @@ class HostGraph:
     def out_lists(self) -> tuple[list[int], ...]:
         """Out-neighbors of every vertex in ascending order, built once per host."""
         return tuple(np.flatnonzero(row).tolist() for row in _bits(self.out_masks, self.n))
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Total vertex coloring with colors drawn from 1..num_colors inclusive."""
-
-    color_of: dict[int, int]
-    num_colors: int
-
-    def __post_init__(self):
-        for v, c in self.color_of.items():
-            if not 1 <= c <= self.num_colors:
-                raise ValueError(f"color {c} of vertex {v} outside 1..{self.num_colors}")
 
 
 @dataclass(frozen=True)
@@ -305,16 +293,16 @@ def _decide_colorful_batch(
     return _unpack_bits(np.bitwise_or.reduce(prefixes[-1], axis=1), color_idx.shape[0])
 
 
-def _check_embedding(pattern, host, f, d, col, emb: Embedding) -> None:
+def _check_embedding(pattern, host, d, row: np.ndarray, emb: Embedding) -> None:
     m = emb.mapping
     if set(m) != set(range(pattern.n)):
         raise AssertionError("embedding must cover the pattern")
-    if m[f] != d:
+    if m[pattern.root] != d:
         raise AssertionError("root must land on the distinguished vertex")
     images = list(m.values())
     if len(set(images)) != len(images):
         raise AssertionError("embedding must be injective")
-    colors = [col.color_of[h] for h in images]
+    colors = row[images].tolist()
     if len(set(colors)) != len(colors):
         raise AssertionError("image colors must be distinct")
     for x, p in enumerate(pattern.parents):
@@ -323,10 +311,12 @@ def _check_embedding(pattern, host, f, d, col, emb: Embedding) -> None:
 
 
 def embed_colorful_tree(
-    pattern: PatternTree, host: HostGraph, f: int, d: int, col: Coloring
+    pattern: PatternTree, host: HostGraph, d: int, colors: ArrayLike
 ) -> Embedding | None:
     """Find a color-injective copy of ``pattern`` whose root lands on ``d``.
 
+    ``colors`` gives host vertex v the 0-based color ``colors[v]``; the
+    palette is 0..max(colors), at most ``_BATCH_MAX_COLORS`` colors.
     Returns one witness embedding, or None when no colorful copy exists.  The
     search is exact; the answer is one-sided only in the sense that callers
     sampling colorings may miss copies that their coloring does not make
@@ -334,17 +324,15 @@ def embed_colorful_tree(
     the last child back, takes the least prefix color set and then the first
     out-neighbor whose child family holds the remaining colors.
     """
-    if f != pattern.root:
-        raise ValueError("distinguished pattern node must be the pattern root")
     if not 0 <= d < host.n:
         raise ValueError(f"distinguished host vertex {d} out of range")
-    for v in range(host.n):
-        if v not in col.color_of:
-            raise ValueError(f"coloring misses host vertex {v}")
-
-    row = np.array([[col.color_of[v] - 1 for v in range(host.n)]], np.int32)
-    C = col.num_colors
-    dp = _PackedDp(pattern, host, row, C)
+    row = np.asarray(colors)
+    if row.shape != (host.n,) or row.dtype.kind not in "iu":
+        raise ValueError(f"coloring needs one int color per host vertex, {host.n} in all")
+    if row.min() < 0:
+        raise ValueError("colors must be non-negative")
+    C = int(row.max()) + 1
+    dp = _PackedDp(pattern, host, row[None], C)
     mapping: dict[int, int] = {}
 
     # one coloring sits in bit 0 and the padding bits are zero, so a word is
@@ -374,7 +362,7 @@ def embed_colorful_tree(
     masks = np.asarray(_masks_of_popcount(C, pattern.n))[cols]
     rebuild(pattern.root, d, int(cols[np.argmin(masks)]), stages)  # least root set
     emb = Embedding(mapping)
-    _check_embedding(pattern, host, f, d, col, emb)
+    _check_embedding(pattern, host, d, row, emb)
     return emb
 
 

@@ -12,8 +12,10 @@ crowns the favorite survives in three regimes:
   which the favorite appears only as the root of one tree.  Such a
   forest is tiny (k * 2**k vertices), so it is found by color coding:
   in-neighbors get k fixed colors, everyone else draws uniformly from
-  the remaining 2**k * k - k, and a colorful copy of the forest pattern
-  is searched by the tree-embedding engine.  A draw makes a fixed
+  the remaining 2**k * k - k, the host's stem vertex gets a color of its
+  own, and the tree-embedding engine searches a colorful copy of the
+  forest pattern.  A coloring is a row of 0-based colors over the host
+  vertices, the form the engine reads.  A draw makes a fixed
   witness colorful with probability at least e**-(k*2**k - k), so
   ceil(multiplier * e**(k*2**k - k)) draws miss with probability at most
   e**-multiplier.  YES answers carry a verified seeding; NO answers are
@@ -47,7 +49,6 @@ from .core import Seeding, Tournament, champion_of
 from .embed import (
     _BATCH_MAX_COLORS,
     EXACT_MAX_N,
-    Coloring,
     Embedding,
     HostGraph,
     PatternTree,
@@ -63,7 +64,6 @@ __all__ = [
     "sample_coloring",
     "build_pattern_forest",
     "build_host",
-    "extend_coloring",
     "find_wwf",
     "complete_wwf",
     "pick",
@@ -129,36 +129,35 @@ def build_host(t: Tournament) -> HostGraph:
     for v in t.out_neighbors:
         d_mask |= 1 << v
     masks.append(d_mask)
-    return HostGraph(out_masks=tuple(masks), distinguished=t.n)
+    return HostGraph(out_masks=tuple(masks))
 
 
-def _coloring_from_draw(t: Tournament, draw: np.ndarray) -> Coloring:
-    k = t.k
-    color_of = {}
-    for i, v in enumerate(sorted(t.in_neighbors)):
-        color_of[v] = i + 1
-    for j, v in enumerate(sorted(t.out_neighbors | {t.vstar})):
-        color_of[v] = int(draw[j])
-    return Coloring(color_of=color_of, num_colors=k * (1 << k))
+def _color_rows(t: Tournament, draws: np.ndarray) -> np.ndarray:
+    """Host colorings, one [n+1] row of 0-based colors per row of ``draws``.
+
+    In-neighbors get colors 0..k-1 in ascending player order, the other
+    players in ascending order take ``draw - 1``, and the stem vertex n gets
+    the top color k*2**k.
+    """
+    k, n = t.k, t.n
+    rows = np.empty((len(draws), n + 1), np.int32)
+    rows[:, sorted(t.in_neighbors)] = np.arange(k)
+    rows[:, sorted(t.out_neighbors | {t.vstar})] = draws - 1
+    rows[:, n] = k << k
+    return rows
 
 
-def sample_coloring(t: Tournament, rng: np.random.Generator) -> Coloring:
-    """One random coloring: in-neighbors get colors 1..k in ascending player
-    order, everyone else draws uniformly from k+1 .. k*2**k."""
+def sample_coloring(t: Tournament, rng: np.random.Generator) -> np.ndarray:
+    """One random host coloring as an [n+1] row of 0-based colors.
+
+    In-neighbors get colors 0..k-1 in ascending player order, everyone else
+    draws uniformly from k .. k*2**k - 1, and the stem vertex n gets k*2**k.
+    """
     k = t.k
     if k < 1:
         raise ValueError("coloring is only defined when someone beats the favorite")
     hi = k * (1 << k)
-    return _coloring_from_draw(t, rng.integers(k + 1, hi + 1, size=t.n - k))
-
-
-def extend_coloring(col: Coloring, d: int) -> Coloring:
-    """Give the stem vertex ``d`` a fresh color one past the palette."""
-    if d in col.color_of:
-        raise ValueError(f"vertex {d} is already colored")
-    extended = dict(col.color_of)
-    extended[d] = col.num_colors + 1
-    return Coloring(color_of=extended, num_colors=col.num_colors + 1)
+    return _color_rows(t, rng.integers(k + 1, hi + 1, size=t.n - k)[None])[0]
 
 
 def _iteration_budget(exponent: int, cfg: IndegConfig) -> int:
@@ -217,21 +216,12 @@ def find_wwf(t: Tournament, cfg: IndegConfig = IndegConfig()) -> Wwf | None:
     d = t.n
     budget = _iteration_budget(hi - k, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
-    ins = sorted(t.in_neighbors)
-    others = sorted(t.out_neighbors | {t.vstar})
     for chunk in _chunk_sizes(budget):
         # one call per chunk yields the same stream as one call per row
-        draws = rng.integers(k + 1, hi + 1, size=(chunk, n - k))
-        color_idx = np.empty((chunk, n + 1), np.int32)
-        for i, v in enumerate(ins):
-            color_idx[:, v] = i
-        color_idx[:, others] = draws - 1
-        color_idx[:, n] = hi
-        hits = _decide_colorful_batch(pattern, host, d, color_idx, num_colors=hi + 1)
+        rows = _color_rows(t, rng.integers(k + 1, hi + 1, size=(chunk, n - k)))
+        hits = _decide_colorful_batch(pattern, host, d, rows, num_colors=hi + 1)
         if hits.any():
-            j = int(np.argmax(hits))
-            col = extend_coloring(_coloring_from_draw(t, draws[j]), d)
-            emb = embed_colorful_tree(pattern, host, pattern.root, d, col)
+            emb = embed_colorful_tree(pattern, host, d, rows[int(np.argmax(hits))])
             if emb is None:
                 raise AssertionError("batch decision disagreed with the engine")
             wwf = _wwf_from_embedding(t, pattern, emb, k)

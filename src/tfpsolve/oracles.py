@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .arborescence import Lba, _tree_structure, arbitrary_lba, is_lba
+from .arborescence import Lba, _tree_structure, arbitrary_lba, bracket_lba, is_lba
 from .core import (
     KnockoutTrace,
     Match,
@@ -211,14 +211,6 @@ def is_wwf(t: Tournament, w) -> bool:
     return t.in_neighbors <= seen
 
 
-def _lba_from_order(t: Tournament, order: Sequence[int]) -> Lba:
-    parent = {}
-    for rnd in bracket_rounds(t, order):
-        for winner, loser in rnd:
-            parent[loser] = winner
-    return Lba(root=champion_of(t, order), parent=parent)
-
-
 def brute_force_wwf(t: Tournament) -> Wwf | None:
     """Backtracking search for a witness forest; None when none exists.
 
@@ -273,7 +265,7 @@ def brute_force_wwf(t: Tournament) -> Wwf | None:
             got = search(
                 available - set(block),
                 [x for x in uncovered if x not in block],
-                picked + [_lba_from_order(t, order)],
+                picked + [bracket_lba(t, order)],
             )
             if got is not None:
                 return got

@@ -162,7 +162,7 @@ def test_criterion_7_coloring_statistics():
     hits = 0
     for _ in range(trials):
         col = sample_coloring(t, rng)
-        if len({col.color_of[v] for v in x}) == len(x):
+        if len(set(col[x].tolist())) == len(x):
             hits += 1
     frac = hits / trials
     exact = math.factorial(6) / 6**6

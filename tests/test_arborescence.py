@@ -6,39 +6,15 @@ from tfpsolve import (
     Lba,
     Seeding,
     arbitrary_lba,
+    bracket_lba,
     champion_of,
     is_lba,
     lba_to_seeding,
     merge_lbas,
-    parse_lba,
     seeding_to_lba,
-    serialize_lba,
-    uba_shape,
 )
 
 T4_LBA = Lba(root=0, parent={1: 0, 3: 0, 2: 3})
-
-
-class TestUbaShape:
-    def test_canonical_parents_c3(self):
-        # parent of node i is i with its lowest set bit cleared
-        assert uba_shape(3).parents() == (-1, 0, 0, 2, 0, 4, 4, 6)
-
-    def test_children_ascend_by_subtree_size(self):
-        s = uba_shape(3)
-        assert s.children_of(0) == [1, 2, 4]
-        assert s.children_of(4) == [5, 6]
-        assert s.children_of(6) == [7]
-        assert s.children_of(7) == []
-        assert [s.subtree_size(i) for i in (0, 1, 2, 4, 6)] == [8, 1, 2, 4, 2]
-
-    def test_size(self):
-        assert uba_shape(0).size == 1
-        assert uba_shape(4).size == 16
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            uba_shape(-1)
 
 
 class TestIsLba:
@@ -71,6 +47,14 @@ class TestSeedingConversions:
     def test_seeding_to_lba(self, t4_yes):
         lba = seeding_to_lba(t4_yes, Seeding((0, 1, 2, 3)))
         assert lba == Lba(root=0, parent={1: 0, 2: 3, 3: 0})
+
+    def test_seeding_to_lba_rejects_other_size(self, t4_yes):
+        with pytest.raises(ValueError, match="seeding over 2 players does not fit n=4"):
+            seeding_to_lba(t4_yes, Seeding((1, 0)))
+
+    def test_bracket_lba_on_subset(self, t4_yes):
+        assert bracket_lba(t4_yes, [3, 1]) == Lba(root=1, parent={3: 1})
+        assert bracket_lba(t4_yes, [2]) == Lba(root=2, parent={})
 
     def test_lba_to_seeding_frozen(self):
         assert lba_to_seeding(T4_LBA) == Seeding((0, 1, 3, 2))
@@ -116,25 +100,3 @@ class TestArbitraryAndMerge:
         merged = merge_lbas(t4_yes, a, b)
         assert merged.root == 0 and is_lba(t4_yes, merged)
         assert merged.vertices == {0, 1, 2, 3}
-
-
-class TestSerialization:
-    def test_frozen_format(self):
-        assert (
-            serialize_lba(T4_LBA)
-            == "lba root=0\nchild 1 parent 0\nchild 2 parent 3\nchild 3 parent 0\n"
-        )
-
-    def test_round_trip(self):
-        assert parse_lba(serialize_lba(T4_LBA)) == T4_LBA
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_lba("not an lba\n")
-        with pytest.raises(ValueError):
-            parse_lba("lba root=0\nchild x parent 0\n")
-
-    @given(tournaments())
-    def test_round_trip_random(self, t):
-        lba = seeding_to_lba(t, Seeding(tuple(range(t.n))))
-        assert parse_lba(serialize_lba(lba)) == lba

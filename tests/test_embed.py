@@ -7,7 +7,6 @@ from conftest import tournaments
 from hypothesis import given, settings
 
 from tfpsolve import (
-    Coloring,
     HostGraph,
     Lba,
     PatternTree,
@@ -23,14 +22,14 @@ from tfpsolve import (
 from tfpsolve.embed import _decide_colorful_batch, _PackedDp, _winners_table
 
 
-def brute_embed(pattern, host, d, col):
+def brute_embed(pattern, host, d, colors):
     """Reference decision: try every injective map with distinct image colors."""
     nodes = list(range(pattern.n))
     for image in itertools.permutations(range(host.n), pattern.n):
         m = dict(zip(nodes, image))
         if m[pattern.root] != d:
             continue
-        if len({col.color_of[h] for h in image}) != pattern.n:
+        if len({colors[h] for h in image}) != pattern.n:
             continue
         if all(
             host.out_masks[m[p]] >> m[x] & 1
@@ -87,9 +86,11 @@ class TestHostGraph:
 
 class TestColoring:
     def test_validates_range(self):
-        with pytest.raises(ValueError):
-            Coloring(color_of={0: 3}, num_colors=2)
-        Coloring(color_of={0: 2}, num_colors=2)
+        p = PatternTree(parents=(-1, 0), root=0)
+        h = HostGraph(out_masks=(2, 0))
+        with pytest.raises(ValueError, match="non-negative"):
+            embed_colorful_tree(p, h, 0, [0, -1])
+        assert embed_colorful_tree(p, h, 0, [0, 1]).mapping == {0: 0, 1: 1}
 
 
 class TestEngine:
@@ -99,8 +100,7 @@ class TestEngine:
 
         pattern = build_pattern_forest(1)
         host = build_host(t4_yes)
-        col = Coloring(color_of={0: 2, 1: 2, 2: 1, 3: 2, 4: 3}, num_colors=3)
-        emb = embed_colorful_tree(pattern, host, 0, 4, col)
+        emb = embed_colorful_tree(pattern, host, 4, [1, 1, 0, 1, 2])
         assert emb is not None and emb.mapping == {0: 4, 1: 1, 2: 2}
 
     def test_no_embedding_when_colors_clash(self, t4_yes):
@@ -109,28 +109,20 @@ class TestEngine:
         pattern = build_pattern_forest(1)
         host = build_host(t4_yes)
         # only one color for everything but the stem: blocks need two
-        col = Coloring(color_of={0: 1, 1: 1, 2: 1, 3: 1, 4: 2}, num_colors=2)
-        assert embed_colorful_tree(pattern, host, 0, 4, col) is None
-
-    def test_rejects_wrong_root(self):
-        p = PatternTree(parents=(-1, 0), root=0)
-        h = HostGraph(out_masks=(2, 0))
-        col = Coloring(color_of={0: 1, 1: 2}, num_colors=2)
-        with pytest.raises(ValueError):
-            embed_colorful_tree(p, h, 1, 0, col)
+        assert embed_colorful_tree(pattern, host, 4, [0, 0, 0, 0, 1]) is None
 
     def test_rejects_uncolored_vertex(self):
         p = PatternTree(parents=(-1, 0), root=0)
         h = HostGraph(out_masks=(2, 0))
-        with pytest.raises(ValueError):
-            embed_colorful_tree(p, h, 0, 0, Coloring(color_of={0: 1}, num_colors=2))
+        with pytest.raises(ValueError, match="one int color per host vertex"):
+            embed_colorful_tree(p, h, 0, [0])
 
     def test_color_budget_guard(self):
         p = PatternTree(parents=(-1, 0), root=0)
         h = HostGraph(out_masks=(2, 0))
-        col = Coloring(color_of={0: 1, 1: 2}, num_colors=25)
-        with pytest.raises(ValueError):
-            embed_colorful_tree(p, h, 0, 0, col)
+        embed_colorful_tree(p, h, 0, [0, 19])  # 20 colors fit
+        with pytest.raises(ValueError, match="capped at 20 colors"):
+            embed_colorful_tree(p, h, 0, [0, 20])
 
     @pytest.mark.parametrize(
         "parents, masks, colors, d, expect",
@@ -157,8 +149,8 @@ class TestEngine:
     )
     def test_witness_tie_breaks_by_mask_value(self, parents, masks, colors, d, expect):
         pattern = PatternTree(parents=parents, root=0)
-        col = Coloring(color_of=dict(enumerate(colors)), num_colors=max(colors))
-        emb = embed_colorful_tree(pattern, HostGraph(out_masks=masks), 0, d, col)
+        row = [c - 1 for c in colors]
+        emb = embed_colorful_tree(pattern, HostGraph(out_masks=masks), d, row)
         assert emb.mapping == expect
 
     def test_agrees_with_brute_force(self):
@@ -170,18 +162,36 @@ class TestEngine:
             pattern = random_pattern(rng, pn)
             host = random_host(rng, hn)
             ncol = int(rng.integers(pn, pn + 3))
-            col = Coloring(
-                color_of={v: int(rng.integers(1, ncol + 1)) for v in range(hn)},
-                num_colors=ncol,
-            )
+            row = [int(rng.integers(1, ncol + 1)) - 1 for _ in range(hn)]
             d = int(rng.integers(0, hn))
-            emb = embed_colorful_tree(pattern, host, 0, d, col)
-            expect = brute_embed(pattern, host, d, col)
-            assert (emb is not None) == expect, (trial, pattern, host, col, d)
+            emb = embed_colorful_tree(pattern, host, d, row)
+            expect = brute_embed(pattern, host, d, row)
+            assert (emb is not None) == expect, (trial, pattern, host, row, d)
             if emb is not None:
                 hits += 1
         # make sure the sample actually exercised both outcomes
         assert 100 < hits < 900
+
+    def test_palette_comes_from_the_row(self):
+        # an isolated extra vertex with a color above all others widens the
+        # palette by unused colors; the witness must not change
+        rng = np.random.default_rng(77)
+        hits = 0
+        for trial in range(300):
+            pn = int(rng.integers(1, 5))
+            hn = int(rng.integers(pn, 7))
+            pattern = random_pattern(rng, pn)
+            host = random_host(rng, hn)
+            row = rng.integers(0, pn + 2, size=hn)
+            d = int(rng.integers(0, hn))
+            top = int(row.max()) + int(rng.integers(1, 4))
+            wide = HostGraph(out_masks=host.out_masks + (0,))
+            emb = embed_colorful_tree(pattern, host, d, row)
+            emb_wide = embed_colorful_tree(pattern, wide, d, np.append(row, top))
+            assert (emb is not None) == brute_embed(pattern, host, d, row), trial
+            assert emb_wide == emb, (trial, pattern, host, row, d, top)
+            hits += emb is not None
+        assert 30 < hits < 270
 
 
 class TestBatchEngine:
@@ -201,10 +211,7 @@ class TestBatchEngine:
             got = _decide_colorful_batch(pattern, host, d, idx, num_colors=ncol)
             assert got.shape == (130,)
             for j, row in enumerate(idx):
-                col = Coloring(
-                    color_of={v: int(c) + 1 for v, c in enumerate(row)}, num_colors=ncol
-                )
-                assert got[j] == brute_embed(pattern, host, d, col), (trial, j)
+                assert got[j] == brute_embed(pattern, host, d, row), (trial, j)
             decided += len(idx)
             hits += int(got.sum())
         assert 0.1 * decided < hits < 0.9 * decided

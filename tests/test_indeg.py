@@ -21,7 +21,6 @@ from tfpsolve import (
     build_pattern_forest,
     champion_of,
     complete_wwf,
-    extend_coloring,
     find_wwf,
     gen_planted_yes,
     gen_random,
@@ -31,7 +30,7 @@ from tfpsolve import (
     sample_coloring,
     solve,
 )
-from tfpsolve.indeg import _chunk_sizes, _coloring_from_draw, _iteration_budget
+from tfpsolve.indeg import _chunk_sizes, _color_rows, _iteration_budget
 
 
 def dominating_conquerors(n: int) -> Tournament:
@@ -64,7 +63,6 @@ class TestPatternAndHost:
     def test_host_reference(self, t4_yes):
         host = build_host(t4_yes)
         assert host.out_masks == (10, 12, 0, 4, 11)
-        assert host.distinguished == 4
 
     def test_host_drops_only_arcs_into_favorite(self, t4_yes):
         host = build_host(t4_yes)
@@ -81,30 +79,23 @@ class TestPatternAndHost:
 class TestColorings:
     def test_in_neighbors_get_low_colors(self):
         t = gen_random(16, 3, seed=5)
-        col = sample_coloring(t, np.random.default_rng(0))
-        ins = sorted(t.in_neighbors)
-        assert [col.color_of[v] for v in ins] == [1, 2, 3]
-        assert col.num_colors == 3 * 8
+        row = sample_coloring(t, np.random.default_rng(0))
+        assert row.shape == (17,)
+        assert row[sorted(t.in_neighbors)].tolist() == [0, 1, 2]
+        assert row[16] == 3 * 8  # the stem's own top color
         for v in t.out_neighbors | {t.vstar}:
-            assert 4 <= col.color_of[v] <= 24
+            assert 3 <= row[v] <= 23
 
     def test_deterministic_given_seed(self):
         t = gen_random(16, 2, seed=5)
         a = sample_coloring(t, np.random.default_rng(42))
         b = sample_coloring(t, np.random.default_rng(42))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_rejects_k0(self):
         t = gen_random(4, 0, seed=1)
         with pytest.raises(ValueError):
             sample_coloring(t, np.random.default_rng(0))
-
-    def test_extend_adds_fresh_top_color(self, t4_yes):
-        col = sample_coloring(t4_yes, np.random.default_rng(0))
-        ext = extend_coloring(col, 4)
-        assert ext.color_of[4] == 3 and ext.num_colors == 3
-        with pytest.raises(ValueError):
-            extend_coloring(ext, 4)
 
 
 class TestBudget:
@@ -151,8 +142,7 @@ class TestFindWwf:
         from tfpsolve import embed_colorful_tree
 
         host = build_host(t)
-        col = extend_coloring(first, t.n)
-        emb = embed_colorful_tree(build_pattern_forest(2), host, 0, t.n, col)
+        emb = embed_colorful_tree(build_pattern_forest(2), host, t.n, first)
         assert (w is not None) == (emb is not None)
 
     def test_every_batch_row_matches_sequential_draws(self, monkeypatch):
@@ -171,10 +161,7 @@ class TestFindWwf:
         assert find_wwf(t, cfg) is None
         assert [len(r) for r in rows] == _chunk_sizes(202)
         rng = np.random.default_rng(31)
-        expect = []
-        for _ in range(202):
-            col = sample_coloring(t, rng)
-            expect.append([col.color_of[v] - 1 for v in range(t.n)] + [8])  # stem: 8
+        expect = [sample_coloring(t, rng) for _ in range(202)]
         assert np.array_equal(np.concatenate(rows), np.array(expect))
 
     def test_no_instance_exhausts_budget(self):
@@ -295,9 +282,12 @@ class TestSolveGate:
             solve(t4_yes, algo, IndegConfig(rng_seed=5, iteration_multiplier=20.0))
 
 
-def test_coloring_from_draw_layout():
+def test_color_rows_layout():
     t = gen_random(8, 2, seed=11)
-    draw = np.arange(3, 9)  # six non-conquerors, colors 3..8
-    col = _coloring_from_draw(t, draw)
+    draws = np.arange(3, 9)[None]  # six non-conquerors, colors 3..8
+    rows = _color_rows(t, draws)
     others = sorted(t.out_neighbors | {t.vstar})
-    assert [col.color_of[v] for v in others] == list(range(3, 9))
+    assert rows.shape == (1, 9) and rows.dtype == np.int32
+    assert rows[0, others].tolist() == list(range(2, 8))
+    assert rows[0, sorted(t.in_neighbors)].tolist() == [0, 1]
+    assert rows[0, 8] == 8  # the stem
