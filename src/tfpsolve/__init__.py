@@ -32,10 +32,8 @@ from .core import (
     validate_match_sequence,
 )
 from .embed import (
-    Embedding,
     HostGraph,
     PatternTree,
-    embed_colorful_tree,
     solve_exact,
 )
 from .indeg import (
@@ -65,7 +63,6 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Embedding",
     "HostGraph",
     "IndegConfig",
     "KnockoutTrace",
@@ -86,7 +83,6 @@ __all__ = [
     "build_pattern_forest",
     "champion_of",
     "complete_wwf",
-    "embed_colorful_tree",
     "enumerate_seedings",
     "extract_local_lba",
     "find_wwf",

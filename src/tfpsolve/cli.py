@@ -140,9 +140,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed``: numpy's generators take no negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--algo", choices=ALGOS, default="auto")
-    sp.add_argument("--seed", type=int, default=0, help="seed for the randomized solver")
+    sp.add_argument("--seed", type=_seed, default=0, help="seed for the randomized solver")
     sp.add_argument(
         "--multiplier",
         type=float,
@@ -178,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("out")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--planted", action="store_true", help="guarantee YES and emit a .witness")
     g.set_defaults(func=cmd_gen)
 

@@ -127,7 +127,8 @@ class Tournament:
         return cls(len(masks), vstar, masks)
 
     def beats(self, u: int, v: int) -> bool:
-        return bool(self.out_masks[u] >> v & 1)
+        # a numpy v would force the Python-int row into a C long
+        return bool(self.out_masks[u] >> operator.index(v) & 1)
 
     @property
     def players(self) -> range:

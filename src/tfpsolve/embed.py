@@ -10,10 +10,10 @@ palette, comb(num_colors, s) in all, and merges go through precomputed
 tables of disjoint pairs.  The DP is bit-packed: it decides many colorings
 of the same pattern/host at once, 64 per machine word.  A coloring is a
 row of 0-based int colors, one per host vertex, and a batch is a [B, H]
-array of such rows.  ``embed_colorful_tree`` runs the DP on a single row,
-whose palette is 0..max(row), and rebuilds a witness by backtracking
-through the families, recomputing the merge stages at each host vertex it
-visits.
+array of such rows.  ``_PackedDp`` is the engine's one interface: building
+it decides every row of a batch (``hits``), and ``witness(j)`` rebuilds row
+j's embedding from bit j of the same families, recomputing the merge stages
+at each host vertex it visits.
 
 ``solve_exact`` runs the identity coloring.  There a color set IS a player
 set, so the per-(node, vertex) families collapse into one word per subset of
@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .arborescence import Lba
 from .core import Tournament, _bits
@@ -38,8 +38,6 @@ from .core import Tournament, _bits
 __all__ = [
     "PatternTree",
     "HostGraph",
-    "Embedding",
-    "embed_colorful_tree",
     "solve_exact",
 ]
 
@@ -105,6 +103,8 @@ class HostGraph:
     out_masks: tuple[int, ...]
 
     def __post_init__(self):
+        # plain ints, as in ``Tournament``: numpy integers lack ``to_bytes``
+        object.__setattr__(self, "out_masks", tuple(map(operator.index, self.out_masks)))
         full = (1 << self.n) - 1
         for u, row in enumerate(self.out_masks):
             if row & ~full or row >> u & 1:
@@ -118,13 +118,6 @@ class HostGraph:
     def out_lists(self) -> tuple[list[int], ...]:
         """Out-neighbors of every vertex in ascending order, built once per host."""
         return tuple(np.flatnonzero(row).tolist() for row in _bits(self.out_masks, self.n))
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Injective pattern-node to host-vertex map found by the engine."""
-
-    mapping: dict[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +185,20 @@ def _merge(cur: np.ndarray, reach: np.ndarray, num_colors: int, a: int, b: int) 
 
 
 class _PackedDp:
-    """The DP's families for a [B, H] array of 0-based colors.
+    """The DP's families for a [B, H] array of 0-based colors, and the
+    per-coloring answers with the pattern root pinned to host vertex ``d``.
 
     Bit j of ``fam[x][w, h, i]`` says that coloring 64w+j admits a colorful
     copy of the subtree of node x rooted at host vertex h on exactly the color
     set ``_masks_of_popcount(C, s)[i]``, where s is the subtree's size, so the
     array has comb(C, s) columns; ``base`` is the s = 1 family.  Nodes with
     identical subtree shapes share one array.  The root is evaluated only at
-    single host vertices, by ``stages``.
+    single host vertices, by ``stages``: once at ``d`` on construction, which
+    gives ``hits``, the [B] bools of the colorings that admit a copy.
     """
 
     def __init__(
-        self, pattern: PatternTree, host: HostGraph, color_idx: np.ndarray, num_colors: int
+        self, pattern: PatternTree, host: HostGraph, d: int, color_idx: np.ndarray, num_colors: int
     ):
         if num_colors > _BATCH_MAX_COLORS:
             raise ValueError(f"batch DP capped at {_BATCH_MAX_COLORS} colors")
@@ -249,9 +244,13 @@ class _PackedDp:
             fam[key] = cur
         self.pattern = pattern
         self.host = host
+        self.d = d
+        self.color_idx = color_idx
         self.num_colors = C
         self.base = base
         self.fam = [fam.get(key) for key in keys]
+        self._root_stages = self.stages(pattern.root, d)
+        self.hits = _unpack_bits(np.bitwise_or.reduce(self._root_stages[0][-1], axis=1), B)
 
     def stages(
         self, x: int, h: int, last: bool = True
@@ -280,21 +279,52 @@ class _PackedDp:
             prefixes.append(cur)
         return prefixes, reaches
 
+    def witness(self, j: int) -> dict[int, int] | None:
+        """Pattern-node to host-vertex map of a colorful copy under coloring
+        j, with the root on ``d``; None when coloring j admits no copy.
 
-def _decide_colorful_batch(
-    pattern: PatternTree,
-    host: HostGraph,
-    d: int,
-    color_idx: np.ndarray,
-    num_colors: int,
-) -> np.ndarray:
-    """Per-coloring embedding decisions for a [B, H] array of 0-based colors."""
-    prefixes, _ = _PackedDp(pattern, host, color_idx, num_colors).stages(pattern.root, d)
-    return _unpack_bits(np.bitwise_or.reduce(prefixes[-1], axis=1), color_idx.shape[0])
+        The copy is rebuilt from bit j of the families.  It uses the least
+        root color set by mask value; each merge, from the last child back,
+        takes the least prefix color set by mask value and then the first
+        out-neighbor whose child family holds the remaining colors.  Only
+        color sets decide, so neither ``num_colors`` nor the other rows
+        change the witness.
+        """
+        pattern, host, C = self.pattern, self.host, self.num_colors
+        word, bit = divmod(j, 64)
+        bit = np.uint64(1 << bit)
+        mapping: dict[int, int] = {}
+
+        # ``i`` is the column of node x's color set among the sets of its
+        # subtree's size
+        def rebuild(x: int, h: int, i: int, stages) -> None:
+            mapping[x] = h
+            prefixes, reaches = stages
+            kids = pattern.children[x]
+            out_h = host.out_lists[h]
+            acc = pattern.subtree_sizes[x]
+            for c in reversed(range(len(kids))):
+                size = pattern.subtree_sizes[kids[c]]
+                acc -= size
+                i1, i2, iu = _union_table(C, acc, size).T
+                held = (prefixes[c][word, i1] & bit != 0) & (reaches[c][word, i2] & bit != 0)
+                ok = np.flatnonzero((iu == i) & held)
+                # the least prefix set by mask value, not by column
+                best = ok[np.argmin(np.asarray(_masks_of_popcount(C, acc))[i1[ok]])]
+                i, rest = int(i1[best]), int(i2[best])
+                h2 = next(v for v in out_h if self.fam[kids[c]][word, v, rest] & bit)
+                rebuild(kids[c], h2, rest, self.stages(kids[c], h2, last=False))
+
+        cols = np.flatnonzero(self._root_stages[0][-1][word] & bit)
+        if not cols.size:
+            return None
+        masks = np.asarray(_masks_of_popcount(C, pattern.n))[cols]
+        rebuild(pattern.root, self.d, int(cols[np.argmin(masks)]), self._root_stages)
+        _check_embedding(pattern, host, self.d, self.color_idx[j], mapping)
+        return mapping
 
 
-def _check_embedding(pattern, host, d, row: np.ndarray, emb: Embedding) -> None:
-    m = emb.mapping
+def _check_embedding(pattern, host, d, row: np.ndarray, m: dict[int, int]) -> None:
     if set(m) != set(range(pattern.n)):
         raise AssertionError("embedding must cover the pattern")
     if m[pattern.root] != d:
@@ -308,62 +338,6 @@ def _check_embedding(pattern, host, d, row: np.ndarray, emb: Embedding) -> None:
     for x, p in enumerate(pattern.parents):
         if p >= 0 and not host.out_masks[m[p]] >> m[x] & 1:
             raise AssertionError("pattern arc missing in host")
-
-
-def embed_colorful_tree(
-    pattern: PatternTree, host: HostGraph, d: int, colors: ArrayLike
-) -> Embedding | None:
-    """Find a color-injective copy of ``pattern`` whose root lands on ``d``.
-
-    ``colors`` gives host vertex v the 0-based color ``colors[v]``; the
-    palette is 0..max(colors), at most ``_BATCH_MAX_COLORS`` colors.
-    Returns one witness embedding, or None when no colorful copy exists.  The
-    search is exact; the answer is one-sided only in the sense that callers
-    sampling colorings may miss copies that their coloring does not make
-    colorful.  The witness uses the least root color set; each merge, from
-    the last child back, takes the least prefix color set and then the first
-    out-neighbor whose child family holds the remaining colors.
-    """
-    if not 0 <= d < host.n:
-        raise ValueError(f"distinguished host vertex {d} out of range")
-    row = np.asarray(colors)
-    if row.shape != (host.n,) or row.dtype.kind not in "iu":
-        raise ValueError(f"coloring needs one int color per host vertex, {host.n} in all")
-    if row.min() < 0:
-        raise ValueError("colors must be non-negative")
-    C = int(row.max()) + 1
-    dp = _PackedDp(pattern, host, row[None], C)
-    mapping: dict[int, int] = {}
-
-    # one coloring sits in bit 0 and the padding bits are zero, so a word is
-    # nonzero exactly when that coloring's bit is set; ``i`` is the column of
-    # node x's color set among the sets of its subtree's size
-    def rebuild(x: int, h: int, i: int, stages) -> None:
-        mapping[x] = h
-        prefixes, reaches = stages
-        kids = pattern.children[x]
-        out_h = host.out_lists[h]
-        acc = pattern.subtree_sizes[x]
-        for j in reversed(range(len(kids))):
-            size = pattern.subtree_sizes[kids[j]]
-            acc -= size
-            i1, i2, iu = _union_table(C, acc, size).T
-            ok = np.flatnonzero((iu == i) & (prefixes[j][0, i1] != 0) & (reaches[j][0, i2] != 0))
-            # the least prefix set by mask value, not by column
-            best = ok[np.argmin(np.asarray(_masks_of_popcount(C, acc))[i1[ok]])]
-            i, rest = int(i1[best]), int(i2[best])
-            h2 = next(v for v in out_h if dp.fam[kids[j]][0, v, rest])
-            rebuild(kids[j], h2, rest, dp.stages(kids[j], h2, last=False))
-
-    stages = dp.stages(pattern.root, d)
-    cols = np.flatnonzero(stages[0][-1][0])
-    if not cols.size:
-        return None
-    masks = np.asarray(_masks_of_popcount(C, pattern.n))[cols]
-    rebuild(pattern.root, d, int(cols[np.argmin(masks)]), stages)  # least root set
-    emb = Embedding(mapping)
-    _check_embedding(pattern, host, d, row, emb)
-    return emb
 
 
 # ---------------------------------------------------------------------------

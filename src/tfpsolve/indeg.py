@@ -27,8 +27,8 @@ an arbitrary internal bracket, and trees are merged pairwise.  Every
 merge root lies outside the favorite's in-set, so the favorite's own
 tree keeps winning merges and ends up spanning the field.
 
-``solve`` is the one solver entry point, shared by the command line, the
-scripts and the tests; ``pick`` resolves ``auto``.  Before any work, one
+``solve`` is the one solver entry point, shared by the command line and
+the tests; ``pick`` resolves ``auto``.  Before any work, one
 feasibility gate (``_route``) chooses the route and raises a single
 ValueError naming the limit that fails.  Except for the ``brute`` oracle,
 which runs unfiltered, the degree certificate comes first: a favorite that
@@ -46,16 +46,7 @@ import numpy as np
 
 from .arborescence import Lba, arbitrary_lba, is_lba, lba_to_seeding, merge_lbas
 from .core import Seeding, Tournament, champion_of
-from .embed import (
-    _BATCH_MAX_COLORS,
-    EXACT_MAX_N,
-    Embedding,
-    HostGraph,
-    PatternTree,
-    _decide_colorful_batch,
-    embed_colorful_tree,
-    solve_exact,
-)
+from .embed import _BATCH_MAX_COLORS, EXACT_MAX_N, HostGraph, PatternTree, _PackedDp, solve_exact
 from .oracles import Wwf, brute_force_decide, is_wwf
 
 __all__ = [
@@ -186,9 +177,8 @@ def _chunk_sizes(total: int) -> list[int]:
     return sizes
 
 
-def _wwf_from_embedding(t: Tournament, pattern: PatternTree, emb: Embedding, k: int) -> Wwf:
+def _wwf_from_embedding(m: dict[int, int], k: int) -> Wwf:
     size = 1 << k
-    m = emb.mapping
     trees = []
     for i in range(k):
         off = 1 + i * size
@@ -219,15 +209,16 @@ def find_wwf(t: Tournament, cfg: IndegConfig = IndegConfig()) -> Wwf | None:
     for chunk in _chunk_sizes(budget):
         # one call per chunk yields the same stream as one call per row
         rows = _color_rows(t, rng.integers(k + 1, hi + 1, size=(chunk, n - k)))
-        hits = _decide_colorful_batch(pattern, host, d, rows, num_colors=hi + 1)
-        if hits.any():
-            emb = embed_colorful_tree(pattern, host, d, rows[int(np.argmax(hits))])
-            if emb is None:
-                raise AssertionError("batch decision disagreed with the engine")
-            wwf = _wwf_from_embedding(t, pattern, emb, k)
+        dp = _PackedDp(pattern, host, d, rows, hi + 1)
+        if dp.hits.any():
+            mapping = dp.witness(int(np.argmax(dp.hits)))
+            if mapping is None:
+                raise AssertionError("batch hit has no witness")
+            wwf = _wwf_from_embedding(mapping, k)
             if not is_wwf(t, wwf):
                 raise AssertionError("embedded forest failed the witness checks")
             return wwf
+        del dp  # free this chunk's families before the next chunk builds its own
     return None
 
 

@@ -70,6 +70,23 @@ class TestDecide:
         assert code == 2 and out == ""
         assert err == f"error: iteration multiplier must be positive and finite, got {float(m)}\n"
 
+    def test_rejects_negative_seed_on_every_route(self, capsys, tmp_path):
+        # n=16 takes the exact route, which never reads the seed; n=64 and
+        # gen hand it to numpy.  All three stop while parsing the flags.
+        argvs = []
+        for n in (16, 64):
+            path = str(tmp_path / f"p{n}.tfp")
+            run(capsys, "gen", path, "--n", str(n), "--k", "2", "--seed", "1", "--planted")
+            argvs.append(["decide", path, "--seed", "-1"])
+        argvs.append(["gen", str(tmp_path / "g.tfp"), "--n", "16", "--k", "2", "--seed", "-1"])
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out = capsys.readouterr()
+            assert exc.value.code == 2 and out.out == ""
+            assert "argument --seed: expected a non-negative integer, got '-1'" in out.err
+        assert not (tmp_path / "g.tfp").exists()
+
 
 class TestSolve:
     def test_yes_prints_seeding_and_trace(self, capsys, yes_file):

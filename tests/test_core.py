@@ -4,10 +4,12 @@ from conftest import T4_YES_TEXT, tournaments
 from hypothesis import given
 
 from tfpsolve import (
+    HostGraph,
     KnockoutTrace,
     ParseError,
     Seeding,
     Tournament,
+    arbitrary_lba,
     bracket_rounds,
     champion_of,
     format_tournament,
@@ -280,6 +282,17 @@ class TestSeeding:
         ):
             assert got == t and got.k == 2
             assert all(type(v) is int for v in (got.n, got.vstar, *got.out_masks))
+
+    def test_library_calls_accept_numpy_players(self):
+        # a numpy player used to force the Python-int rows into a C long at
+        # n >= 64, and numpy masks lacked ``to_bytes``
+        t = gen_random(64, 2, seed=0)
+        order = np.arange(64)
+        assert champion_of(t, order) == champion_of(t, range(64))
+        assert bracket_rounds(t, order) == bracket_rounds(t, range(64))
+        assert arbitrary_lba(t, order) == arbitrary_lba(t, range(64))
+        host = HostGraph(out_masks=(np.int64(2), np.int64(0)))
+        assert host.out_lists == ([1], []) and host == HostGraph(out_masks=(2, 0))
 
 
 class TestSimulation:

@@ -14,12 +14,11 @@ from tfpsolve import (
     brute_force_decide,
     build_host,
     build_pattern_forest,
-    embed_colorful_tree,
     gen_random,
     is_lba,
     solve_exact,
 )
-from tfpsolve.embed import _decide_colorful_batch, _PackedDp, _winners_table
+from tfpsolve.embed import _PackedDp, _winners_table
 
 
 def brute_embed(pattern, host, d, colors):
@@ -84,45 +83,49 @@ class TestHostGraph:
             HostGraph(out_masks=(1, 0))
 
 
+def witness(pattern, host, d, row, num_colors=None):
+    """The engine's witness for one coloring, on the palette 0..max(row) by default."""
+    row = np.asarray(row, np.int32)
+    C = int(row.max()) + 1 if num_colors is None else num_colors
+    return _PackedDp(pattern, host, d, row[None], C).witness(0)
+
+
 class TestColoring:
-    def test_validates_range(self):
+    def test_colors_outside_the_palette_are_unused(self):
+        # a color that is not in 0..num_colors-1 puts its vertex in no color
+        # set, like the padding rows of a batch
         p = PatternTree(parents=(-1, 0), root=0)
         h = HostGraph(out_masks=(2, 0))
-        with pytest.raises(ValueError, match="non-negative"):
-            embed_colorful_tree(p, h, 0, [0, -1])
-        assert embed_colorful_tree(p, h, 0, [0, 1]).mapping == {0: 0, 1: 1}
+        assert witness(p, h, 0, [0, -1], num_colors=2) is None
+        assert witness(p, h, 0, [0, 2], num_colors=2) is None
+        assert witness(p, h, 0, [0, 1]) == {0: 0, 1: 1}
 
 
 class TestEngine:
     def test_reference_embedding(self, t4_yes):
         # stem over a single 2-block, hosted on the no-arcs-into-0 variant
-        from tfpsolve import build_host, build_pattern_forest
-
         pattern = build_pattern_forest(1)
         host = build_host(t4_yes)
-        emb = embed_colorful_tree(pattern, host, 4, [1, 1, 0, 1, 2])
-        assert emb is not None and emb.mapping == {0: 4, 1: 1, 2: 2}
+        assert witness(pattern, host, 4, [1, 1, 0, 1, 2]) == {0: 4, 1: 1, 2: 2}
 
     def test_no_embedding_when_colors_clash(self, t4_yes):
-        from tfpsolve import build_host, build_pattern_forest
-
         pattern = build_pattern_forest(1)
         host = build_host(t4_yes)
         # only one color for everything but the stem: blocks need two
-        assert embed_colorful_tree(pattern, host, 4, [0, 0, 0, 0, 1]) is None
+        assert witness(pattern, host, 4, [0, 0, 0, 0, 1]) is None
 
     def test_rejects_uncolored_vertex(self):
         p = PatternTree(parents=(-1, 0), root=0)
         h = HostGraph(out_masks=(2, 0))
-        with pytest.raises(ValueError, match="one int color per host vertex"):
-            embed_colorful_tree(p, h, 0, [0])
+        with pytest.raises(ValueError, match="width must match the host"):
+            witness(p, h, 0, [0])
 
     def test_color_budget_guard(self):
         p = PatternTree(parents=(-1, 0), root=0)
         h = HostGraph(out_masks=(2, 0))
-        embed_colorful_tree(p, h, 0, [0, 19])  # 20 colors fit
+        assert witness(p, h, 0, [0, 19]) == {0: 0, 1: 1}  # 20 colors fit
         with pytest.raises(ValueError, match="capped at 20 colors"):
-            embed_colorful_tree(p, h, 0, [0, 20])
+            witness(p, h, 0, [0, 20])
 
     @pytest.mark.parametrize(
         "parents, masks, colors, d, expect",
@@ -150,8 +153,7 @@ class TestEngine:
     def test_witness_tie_breaks_by_mask_value(self, parents, masks, colors, d, expect):
         pattern = PatternTree(parents=parents, root=0)
         row = [c - 1 for c in colors]
-        emb = embed_colorful_tree(pattern, HostGraph(out_masks=masks), d, row)
-        assert emb.mapping == expect
+        assert witness(pattern, HostGraph(out_masks=masks), d, row) == expect
 
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(2024)
@@ -164,17 +166,17 @@ class TestEngine:
             ncol = int(rng.integers(pn, pn + 3))
             row = [int(rng.integers(1, ncol + 1)) - 1 for _ in range(hn)]
             d = int(rng.integers(0, hn))
-            emb = embed_colorful_tree(pattern, host, d, row)
+            got = witness(pattern, host, d, row)
             expect = brute_embed(pattern, host, d, row)
-            assert (emb is not None) == expect, (trial, pattern, host, row, d)
-            if emb is not None:
+            assert (got is not None) == expect, (trial, pattern, host, row, d)
+            if got is not None:
                 hits += 1
         # make sure the sample actually exercised both outcomes
         assert 100 < hits < 900
 
-    def test_palette_comes_from_the_row(self):
-        # an isolated extra vertex with a color above all others widens the
-        # palette by unused colors; the witness must not change
+    def test_wider_palette_leaves_witness_unchanged(self):
+        # unused colors above the row's own widen every family; the witness
+        # breaks ties by color set, so it must not change
         rng = np.random.default_rng(77)
         hits = 0
         for trial in range(300):
@@ -184,13 +186,12 @@ class TestEngine:
             host = random_host(rng, hn)
             row = rng.integers(0, pn + 2, size=hn)
             d = int(rng.integers(0, hn))
-            top = int(row.max()) + int(rng.integers(1, 4))
-            wide = HostGraph(out_masks=host.out_masks + (0,))
-            emb = embed_colorful_tree(pattern, host, d, row)
-            emb_wide = embed_colorful_tree(pattern, wide, d, np.append(row, top))
-            assert (emb is not None) == brute_embed(pattern, host, d, row), trial
-            assert emb_wide == emb, (trial, pattern, host, row, d, top)
-            hits += emb is not None
+            wide = int(row.max()) + 1 + int(rng.integers(1, 4))
+            got = witness(pattern, host, d, row)
+            got_wide = witness(pattern, host, d, row, num_colors=wide)
+            assert (got is not None) == brute_embed(pattern, host, d, row), trial
+            assert got_wide == got, (trial, pattern, host, row, d, wide)
+            hits += got is not None
         assert 30 < hits < 270
 
 
@@ -208,12 +209,17 @@ class TestBatchEngine:
             ncol = int(rng.integers(max(1, pn - 1), pn + 3))
             d = int(rng.integers(0, hn))
             idx = rng.integers(0, ncol, size=(130, hn)).astype(np.int32)
-            got = _decide_colorful_batch(pattern, host, d, idx, num_colors=ncol)
-            assert got.shape == (130,)
+            dp = _PackedDp(pattern, host, d, idx, ncol)
+            assert dp.hits.shape == (130,)
             for j, row in enumerate(idx):
-                assert got[j] == brute_embed(pattern, host, d, row), (trial, j)
+                expect = brute_embed(pattern, host, d, row)
+                assert dp.hits[j] == expect, (trial, j)
+                got = dp.witness(j)
+                assert (got is not None) == expect, (trial, j)
+                # bit j of the batch rebuilds what a one-row run rebuilds
+                assert got == _PackedDp(pattern, host, d, idx[j : j + 1], ncol).witness(0)
             decided += len(idx)
-            hits += int(got.sum())
+            hits += int(dp.hits.sum())
         assert 0.1 * decided < hits < 0.9 * decided
 
     def test_families_keep_only_their_popcount_columns(self):
@@ -221,7 +227,7 @@ class TestBatchEngine:
         p = build_pattern_forest(2)
         host = build_host(gen_random(32, 2, seed=3))
         idx = np.random.default_rng(0).integers(0, 9, size=(100, host.n)).astype(np.int32)
-        dp = _PackedDp(p, host, idx, num_colors=9)
+        dp = _PackedDp(p, host, host.n - 1, idx, num_colors=9)
         assert dp.base.shape == (2, host.n, 9)
         for x in range(p.n):
             if x != p.root:
@@ -231,7 +237,7 @@ class TestBatchEngine:
         p = PatternTree(parents=(-1,), root=0)
         h = HostGraph(out_masks=(0,))
         with pytest.raises(ValueError):
-            _decide_colorful_batch(p, h, 0, np.zeros((1, 1), np.int32), num_colors=21)
+            _PackedDp(p, h, 0, np.zeros((1, 1), np.int32), num_colors=21)
 
 
 class TestSolveExact:

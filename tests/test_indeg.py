@@ -30,6 +30,7 @@ from tfpsolve import (
     sample_coloring,
     solve,
 )
+from tfpsolve.embed import _PackedDp
 from tfpsolve.indeg import _chunk_sizes, _color_rows, _iteration_budget
 
 
@@ -139,11 +140,8 @@ class TestFindWwf:
         w = find_wwf(t, cfg)
         # iteration 0 uses exactly `first`; embeddability of that coloring
         # decides the one-iteration search
-        from tfpsolve import embed_colorful_tree
-
-        host = build_host(t)
-        emb = embed_colorful_tree(build_pattern_forest(2), host, t.n, first)
-        assert (w is not None) == (emb is not None)
+        dp = _PackedDp(build_pattern_forest(2), build_host(t), t.n, first[None], 9)
+        assert (w is not None) == bool(dp.hits[0])
 
     def test_every_batch_row_matches_sequential_draws(self, monkeypatch):
         # every row of every chunk, not just the first, is the coloring that
@@ -153,16 +151,35 @@ class TestFindWwf:
         assert _iteration_budget(6, cfg) == 202  # chunks of 64, 128 and 10
         rows = []
 
-        def record(pattern, host, d, color_idx, num_colors):
-            rows.append(color_idx.copy())
-            return np.zeros(len(color_idx), bool)  # never hit: use every draw
+        class Record:
+            def __init__(self, pattern, host, d, color_idx, num_colors):
+                rows.append(color_idx.copy())
+                self.hits = np.zeros(len(color_idx), bool)  # never hit: use every draw
 
-        monkeypatch.setattr(tfpsolve.indeg, "_decide_colorful_batch", record)
+        monkeypatch.setattr(tfpsolve.indeg, "_PackedDp", Record)
         assert find_wwf(t, cfg) is None
         assert [len(r) for r in rows] == _chunk_sizes(202)
         rng = np.random.default_rng(31)
         expect = [sample_coloring(t, rng) for _ in range(202)]
         assert np.array_equal(np.concatenate(rows), np.array(expect))
+
+    def test_one_dp_per_decided_chunk(self, monkeypatch):
+        # a hit rebuilds its witness from the batch that found it, so no
+        # second DP is built
+        built = []
+
+        class Counted(_PackedDp):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(len(self.hits))
+
+        monkeypatch.setattr(tfpsolve.indeg, "_PackedDp", Counted)
+        t, _ = gen_planted_yes(32, 2, seed=1)
+        assert find_wwf(t, IndegConfig(rng_seed=0, iteration_multiplier=20.0)) is not None
+        assert built == [64]
+        built.clear()
+        assert find_wwf(dominating_conquerors(16), IndegConfig(iteration_multiplier=0.5)) is None
+        assert built == _chunk_sizes(202)
 
     def test_no_instance_exhausts_budget(self):
         t = dominating_conquerors(16)

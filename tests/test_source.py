@@ -1,0 +1,16 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import tfpsolve
+
+SOURCES = sorted(Path(tfpsolve.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # `python -O` strips assert statements, so guards on output must raise
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} has assert statements on lines {lines}"
