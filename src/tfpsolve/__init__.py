@@ -31,21 +31,8 @@ from .core import (
     simulate,
     validate_match_sequence,
 )
-from .embed import (
-    HostGraph,
-    PatternTree,
-    solve_exact,
-)
-from .indeg import (
-    IndegConfig,
-    build_host,
-    build_pattern_forest,
-    complete_wwf,
-    find_wwf,
-    pick,
-    sample_coloring,
-    solve,
-)
+from .embed import solve_exact
+from .indeg import complete_wwf, find_wwf, pick, solve
 from .instances import gen_planted_yes, gen_random
 from .oracles import (
     NicenessReport,
@@ -63,14 +50,11 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HostGraph",
-    "IndegConfig",
     "KnockoutTrace",
     "Lba",
     "NicenessReport",
     "OracleLimitError",
     "ParseError",
-    "PatternTree",
     "Seeding",
     "Tournament",
     "Wwf",
@@ -79,8 +63,6 @@ __all__ = [
     "bracket_rounds",
     "brute_force_decide",
     "brute_force_wwf",
-    "build_host",
-    "build_pattern_forest",
     "champion_of",
     "complete_wwf",
     "enumerate_seedings",
@@ -98,7 +80,6 @@ __all__ = [
     "parse_tournament",
     "pick",
     "repair_to_nice",
-    "sample_coloring",
     "seeding_from_sequence",
     "seeding_to_lba",
     "simulate",

@@ -9,6 +9,7 @@ player can be folded back into a seeding that player wins.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -119,17 +120,24 @@ def lba_to_seeding(l: Lba) -> Seeding:
     for u in children:
         children[u].sort(key=lambda c: sizes[c])
 
-    def fill(u: int, kids: list[int]) -> list[int]:
-        if not kids:
-            return [u]
-        return fill(u, kids[:-1]) + fill(kids[-1], children[kids[-1]])
+    return Seeding(tuple(_fill(l.root, children[l.root], children)))
 
-    return Seeding(tuple(fill(l.root, children[l.root])))
+
+def _fill(u: int, kids: list[int], children: dict[int, list[int]]) -> list[int]:
+    """Leaf order of the block that ``u`` wins by beating ``kids`` in order.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle, which keeps ``children`` (one list per player) alive
+    until the cyclic garbage collector runs.
+    """
+    if not kids:
+        return [u]
+    return _fill(u, kids[:-1], children) + _fill(kids[-1], children[kids[-1]], children)
 
 
 def arbitrary_lba(t: Tournament, x: Iterable[int]) -> Lba:
     """Arborescence over the player set ``x`` from a fixed (ascending) bracket."""
-    xs = sorted(set(x))
+    xs = sorted(set(map(operator.index, x)))  # plain ints, as in ``Tournament``
     if not xs or len(xs) & (len(xs) - 1):
         raise ValueError(f"block size {len(xs)} is not a power of two")
     if not all(0 <= v < t.n for v in xs):

@@ -9,14 +9,18 @@ and ``bench`` call ``indeg.solve``; an instance its feasibility gate rejects
 exits 2 with the one limit that failed.
 
 Exit codes: 0 the favorite can win / the command succeeded, 1 it cannot /
-the seeding loses, 2 any error.  Output for a fixed file, algorithm, seed
-and multiplier is byte-identical across runs.  TFP_THREADS is accepted and
-validated for compatibility; this implementation stays single-threaded.
+the seeding loses, 2 any error.  Output for a fixed file and algorithm is
+byte-identical across runs.  The solvers draw nothing, so the solver
+commands' ``--seed`` and ``--multiplier`` are validated for compatibility
+and otherwise ignored; ``gen --seed`` still seeds the generators.
+TFP_THREADS is accepted and validated for compatibility; this
+implementation stays single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -32,7 +36,7 @@ from .core import (
     parse_tournament,
     simulate,
 )
-from .indeg import ALGOS, IndegConfig, pick, solve
+from .indeg import ALGOS, pick, solve
 from .instances import gen_planted_yes, gen_random
 from .oracles import niceness, repair_to_nice
 
@@ -41,8 +45,11 @@ def _load(path: str) -> Tournament:
     return parse_tournament(Path(path).read_text())
 
 
-def _cfg(args: argparse.Namespace) -> IndegConfig:
-    return IndegConfig(rng_seed=args.seed, iteration_multiplier=args.multiplier)
+def _check_multiplier(args: argparse.Namespace) -> None:
+    """``--multiplier`` is validated for compatibility; no solver reads it."""
+    m = args.multiplier
+    if not (math.isfinite(m) and m > 0):
+        raise ValueError(f"iteration multiplier must be positive and finite, got {m}")
 
 
 def _read_seeding(args: argparse.Namespace, n: int) -> Seeding:
@@ -60,7 +67,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
     """``decide`` and ``solve``; ``solve`` adds the seeding and its trace to a YES."""
     t = _load(args.file)
     algo = pick(t, args.algo)
-    s = solve(t, algo, _cfg(args))
+    _check_multiplier(args)
+    s = solve(t, algo)
     print("YES" if s is not None else "NO")
     print(f"algo: {algo} (auto)" if args.algo == "auto" else f"algo: {algo}")
     if s is None:
@@ -127,13 +135,13 @@ def cmd_check_structure(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _cfg(args)
+    _check_multiplier(args)
     print(f"{'file':<28} {'algo':<7} {'n':>4} {'verdict':<7} {'ms':>9}")
     for path in args.files:
         t = _load(path)
         algo = pick(t, args.algo)
         start = time.perf_counter()
-        s = solve(t, algo, cfg)
+        s = solve(t, algo)
         ms = (time.perf_counter() - start) * 1e3
         verdict = "YES" if s is not None else "NO"
         print(f"{Path(path).name:<28} {algo:<7} {t.n:>4} {verdict:<7} {ms:>9.1f}")
@@ -149,12 +157,14 @@ def _seed(text: str) -> int:
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--algo", choices=ALGOS, default="auto")
-    sp.add_argument("--seed", type=_seed, default=0, help="seed for the randomized solver")
+    sp.add_argument(
+        "--seed", type=_seed, default=0, help="accepted for compatibility; the solvers draw nothing"
+    )
     sp.add_argument(
         "--multiplier",
         type=float,
         default=1.0,
-        help="scales the randomized draw budget (miss probability e**-multiplier)",
+        help="accepted for compatibility; must be positive and finite, otherwise ignored",
     )
 
 

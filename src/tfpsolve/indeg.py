@@ -1,7 +1,7 @@
-"""Randomized solver parameterized by how many players beat the favorite.
+"""Solver parameterized by how many players beat the favorite.
 
-Write k for the number of players that beat the favorite.  A seeding that
-crowns the favorite survives in three regimes:
+Write k for the number of players that beat the favorite, its conquerors.
+A seeding that crowns the favorite survives in three regimes:
 
 * k == 0: the favorite beats everyone, so any seeding works.
 * k * 2**k >= n: the instance is small in the parameter; solve exactly.
@@ -9,17 +9,10 @@ crowns the favorite survives in three regimes:
   forest* -- k vertex-disjoint arborescences, each on exactly 2**k
   vertices and shaped like a bracket, whose roots all avoid the
   favorite's in-set, which jointly swallow every in-neighbor, and in
-  which the favorite appears only as the root of one tree.  Such a
-  forest is tiny (k * 2**k vertices), so it is found by color coding:
-  in-neighbors get k fixed colors, everyone else draws uniformly from
-  the remaining 2**k * k - k, the host's stem vertex gets a color of its
-  own, and the tree-embedding engine searches a colorful copy of the
-  forest pattern.  A coloring is a row of 0-based colors over the host
-  vertices, the form the engine reads.  A draw makes a fixed
-  witness colorful with probability at least e**-(k*2**k - k), so
-  ceil(multiplier * e**(k*2**k - k)) draws miss with probability at most
-  e**-multiplier.  YES answers carry a verified seeding; NO answers are
-  correct up to that failure bound.
+  which the favorite appears only as the root of one tree.  ``find_wwf``
+  finds one by a deterministic bounded search, exact for k <= 2 (its
+  docstring carries the proof); k >= 3 in this regime is out of reach.
+  YES answers carry a verified seeding, and every NO is exact.
 
 ``complete_wwf`` then grows the witness forest into a spanning bracket
 tree: leftover players are chunked into blocks of 2**k, each block gets
@@ -39,22 +32,15 @@ search.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-import numpy as np
+import itertools
 
 from .arborescence import Lba, arbitrary_lba, is_lba, lba_to_seeding, merge_lbas
-from .core import Seeding, Tournament, champion_of
-from .embed import _BATCH_MAX_COLORS, EXACT_MAX_N, HostGraph, PatternTree, _PackedDp, solve_exact
+from .core import Seeding, Tournament, _bits, _masks, champion_of
+from .embed import EXACT_MAX_N, solve_exact
 from .oracles import Wwf, brute_force_decide, is_wwf
 
 __all__ = [
     "Wwf",
-    "IndegConfig",
-    "sample_coloring",
-    "build_pattern_forest",
-    "build_host",
     "find_wwf",
     "complete_wwf",
     "pick",
@@ -63,163 +49,121 @@ __all__ = [
 
 ALGOS = ("auto", "brute", "exact", "outdeg", "indeg")
 
-_BUDGET_CAP = 100_000_000
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class IndegConfig:
-    """Knobs for the randomized search.
+def _players(mask: int):
+    """The players in a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    ``iteration_multiplier`` scales the draw budget, so that a NO misses a
-    witness with probability at most e**-multiplier; it must be positive and
-    finite for that bound to mean anything.
+
+def _apart(xs: int, ys: int) -> tuple[int, int] | None:
+    """Distinct players x in bitmask ``xs`` and y in ``ys``, or None."""
+    if not xs or not ys or xs == ys and not xs & (xs - 1):
+        return None
+    y = _low(ys)
+    rest = xs & ~(1 << y)
+    if rest:
+        return _low(rest), y
+    return y, _low(ys & ~(1 << y))
+
+
+def _find(t: Tournament, in_masks: tuple[int, ...], W: tuple[int, ...], X: int) -> Lba | None:
+    """One bracket tree on 2**k players, k <= 2, or None if there is none.
+
+    The tree holds the conquerors in ``W`` as non-roots, avoids the players
+    in the bitmask ``X``, has its root outside the favorite's in-set, and
+    holds the favorite only as its root.  At k = 2 the tree is r -> a and
+    r -> b -> c.  Each placement of W on a, b and c is tried; r runs over
+    the allowed roots and b over r's allowed out-neighbors, after which a
+    and c are any distinct picks from their candidate sets.  A call costs
+    O(n**2) bitset operations.
     """
-
-    rng_seed: int = 0
-    iteration_multiplier: float = 1.0
-
-    def __post_init__(self):
-        m = self.iteration_multiplier
-        if not (math.isfinite(m) and m > 0):
-            raise ValueError(f"iteration multiplier must be positive and finite, got {m}")
-
-
-def build_pattern_forest(k: int) -> PatternTree:
-    """Pattern for the embedding engine: a stem node over k bracket trees.
-
-    Node 0 is the stem; block i occupies ids 1 + i*2**k onward, wired like a
-    canonical bracket tree (parent of in-block offset j is offset j & (j-1)).
-    The stem exists so the whole pattern is one rooted tree.
-    """
-    if k < 1:
-        raise ValueError("pattern needs at least one block")
-    size = 1 << k
-    parents = [-1]
-    for i in range(k):
-        off = 1 + i * size
-        parents.append(0)
-        parents.extend(off + (j & (j - 1)) for j in range(1, size))
-    return PatternTree(parents=tuple(parents), root=0)
-
-
-def build_host(t: Tournament) -> HostGraph:
-    """Host digraph: the tournament minus arcs into the favorite, plus a
-    fresh stem vertex d = n with arcs to the favorite and its out-set.
-
-    Dropping arcs into the favorite means no embedded tree may contain the
-    favorite below its root, and the stem's arcs force every block root into
-    the favorite's out-set or the favorite itself.
-    """
-    masks = []
-    for u in range(t.n):
-        m = t.out_masks[u]
-        if u != t.vstar:
-            m &= ~(1 << t.vstar)
-        masks.append(m)
-    d_mask = 1 << t.vstar
-    for v in t.out_neighbors:
-        d_mask |= 1 << v
-    masks.append(d_mask)
-    return HostGraph(out_masks=tuple(masks))
-
-
-def _color_rows(t: Tournament, draws: np.ndarray) -> np.ndarray:
-    """Host colorings, one [n+1] row of 0-based colors per row of ``draws``.
-
-    In-neighbors get colors 0..k-1 in ascending player order, the other
-    players in ascending order take ``draw - 1``, and the stem vertex n gets
-    the top color k*2**k.
-    """
-    k, n = t.k, t.n
-    rows = np.empty((len(draws), n + 1), np.int32)
-    rows[:, sorted(t.in_neighbors)] = np.arange(k)
-    rows[:, sorted(t.out_neighbors | {t.vstar})] = draws - 1
-    rows[:, n] = k << k
-    return rows
-
-
-def sample_coloring(t: Tournament, rng: np.random.Generator) -> np.ndarray:
-    """One random host coloring as an [n+1] row of 0-based colors.
-
-    In-neighbors get colors 0..k-1 in ascending player order, everyone else
-    draws uniformly from k .. k*2**k - 1, and the stem vertex n gets k*2**k.
-    """
-    k = t.k
-    if k < 1:
-        raise ValueError("coloring is only defined when someone beats the favorite")
-    hi = k * (1 << k)
-    return _color_rows(t, rng.integers(k + 1, hi + 1, size=t.n - k)[None])[0]
-
-
-def _iteration_budget(exponent: int, cfg: IndegConfig) -> int:
-    if exponent <= 700:
-        raw = cfg.iteration_multiplier * math.exp(exponent)
-    else:
-        raw = math.inf
-    if raw > _BUDGET_CAP:
-        raise ValueError(
-            f"color coding needs ceil({cfg.iteration_multiplier} * e**{exponent}) draws, "
-            f"over the cap of {_BUDGET_CAP}"
-        )
-    return math.ceil(raw)
-
-
-def _chunk_sizes(total: int) -> list[int]:
-    sizes = []
-    step = 64
-    remaining = total
-    while remaining > 0:
-        take = min(step, remaining)
-        sizes.append(take)
-        remaining -= take
-        if step < 1024:
-            step *= 2
-    return sizes
-
-
-def _wwf_from_embedding(m: dict[int, int], k: int) -> Wwf:
-    size = 1 << k
-    trees = []
-    for i in range(k):
-        off = 1 + i * size
-        parent = {m[off + j]: m[off + (j & (j - 1))] for j in range(1, size)}
-        trees.append(Lba(root=m[off], parent=parent))
-    return Wwf(trees=tuple(trees))
-
-
-def find_wwf(t: Tournament, cfg: IndegConfig = IndegConfig()) -> Wwf | None:
-    """Search for a witness forest by repeated random colorings.
-
-    Draws come off ``cfg.rng_seed`` in the order of one draw per iteration
-    but are made and decided in batches; a hit reports the lowest iteration
-    index in the batch, so the result for a given seed is identical to
-    deciding draws one by one.
-    Returns None once the budget is exhausted (see the module docstring for
-    the failure bound).
-    """
-    k, n = t.k, t.n
-    if k < 1 or k * (1 << k) >= n:
-        raise ValueError("witness-forest search applies when 1 <= k and k*2**k < n")
-    hi = k * (1 << k)
-    pattern = build_pattern_forest(k)
-    host = build_host(t)
-    d = t.n
-    budget = _iteration_budget(hi - k, cfg)
-    rng = np.random.default_rng(cfg.rng_seed)
-    for chunk in _chunk_sizes(budget):
-        # one call per chunk yields the same stream as one call per row
-        rows = _color_rows(t, rng.integers(k + 1, hi + 1, size=(chunk, n - k)))
-        dp = _PackedDp(pattern, host, d, rows, hi + 1)
-        if dp.hits.any():
-            mapping = dp.witness(int(np.argmax(dp.hits)))
-            if mapping is None:
-                raise AssertionError("batch hit has no witness")
-            wwf = _wwf_from_embedding(mapping, k)
-            if not is_wwf(t, wwf):
-                raise AssertionError("embedded forest failed the witness checks")
-            return wwf
-        del dp  # free this chunk's families before the next chunk builds its own
+    out = t.out_masks
+    free = ((1 << t.n) - 1) & ~X
+    roots = free & ~sum(1 << u for u in t.in_neighbors)
+    kids = free & ~(1 << t.vstar) & ~sum(1 << w for w in W)
+    if t.k == 1:
+        (u,) = W
+        r = roots & in_masks[u] if free >> u & 1 else 0
+        return Lba(root=_low(r), parent={u: _low(r)}) if r else None
+    for places in itertools.permutations("abc", len(W)):
+        pin = dict(zip(places, W))
+        dom = {p: free & 1 << pin[p] if p in pin else kids for p in "abc"}
+        rdom, bdom = roots, dom["b"]
+        for p in pin.keys() & {"a", "b"}:  # r beats a and b
+            rdom &= in_masks[pin[p]]
+        if "c" in pin:  # b beats c
+            bdom &= in_masks[pin["c"]]
+        for r in _players(rdom):
+            for b in _players(bdom & out[r]):
+                got = _apart(dom["a"] & out[r] & ~(1 << b), dom["c"] & out[b])
+                if got is not None:
+                    a, c = got
+                    return Lba(root=r, parent={a: r, b: r, c: b})
     return None
+
+
+def _split(
+    t: Tournament, in_masks: tuple[int, ...], u1: int, u2: int, X: int
+) -> tuple[Lba, Lba] | None:
+    """The branch of ``find_wwf`` at avoid-set ``X``: disjoint trees for u1 and u2."""
+    t1 = _find(t, in_masks, (u1,), X | 1 << u2)
+    if t1 is None:
+        return None
+    t2 = _find(t, in_masks, (u2,), sum(1 << v for v in t1.vertices))
+    if t2 is not None:
+        return t1, t2
+    if X.bit_count() < 3:
+        for v in sorted(t1.vertices - {u1}):
+            got = _split(t, in_masks, u1, u2, X | 1 << v)
+            if got is not None:
+                return got
+    return None
+
+
+def find_wwf(t: Tournament) -> Wwf | None:
+    """A witness forest, or None when none exists; for 1 <= k <= 2 and
+    k*2**k < n, by at most 81 calls of ``_find``.
+
+    k = 1: one call decides.  k = 2, with conquerors u1 < u2: a tree that
+    holds both leaves no conqueror for the second tree, so any 2**k leftover
+    players make it.  Otherwise, starting from X = {}, take
+    T1 = find({u1}, X | {u2}) and T2 = find({u2}, T1).  When T2 misses,
+    branch on each v in T1 - {u1} by adding v to X, down to |X| = 3.
+
+    Exactness: let (T1*, T2*) be a solution with u1 in T1* and u2 in T2*,
+    and let X be a subset of T2* - {u2}, as X = {} is.  T1* avoids X | {u2},
+    so T1 exists.  If T2 misses, T2* meets T1, since otherwise T2* would be
+    a T2; it does so in some v of T1 - {u1} that is neither u2 nor in X,
+    because T1 avoids both.  The branch on v keeps X a subset of T2* - {u2}
+    with one more player, so at |X| = 3 we have X = T2* - {u2}, T1 avoids
+    T2*, and T2 cannot miss.  Some branch therefore finds a forest whenever
+    one exists.  Calls: one for the shared tree, then two on each of the
+    1 + 3 + 9 + 27 = 40 branch nodes, 81 in all.
+    """
+    k, n = t.k, t.n
+    if not 1 <= k <= 2 or k << k >= n:
+        raise ValueError("witness-forest search applies when 1 <= k <= 2 and k*2**k < n")
+    in_masks = _masks(_bits(t.out_masks, n).T)
+    us = tuple(sorted(t.in_neighbors))
+    whole = _find(t, in_masks, us, 0)
+    if whole is not None:
+        rest = sorted(set(t.players) - whole.vertices)
+        trees = (whole,) if k == 1 else (whole, arbitrary_lba(t, rest[:4]))
+    else:
+        trees = _split(t, in_masks, *us, 0) if k == 2 else None
+        if trees is None:
+            return None
+    wwf = Wwf(trees=trees)
+    if not is_wwf(t, wwf):
+        raise AssertionError("the forest search returned a forest that fails the witness checks")
+    return wwf
 
 
 def _assert_mergeable(t: Tournament, trees: list[Lba]) -> None:
@@ -284,43 +228,38 @@ def pick(t: Tournament, algo: str = "auto") -> str:
     return "exact" if t.n <= EXACT_MAX_N else "indeg"
 
 
-def _route(t: Tournament, algo: str, cfg: IndegConfig) -> str:
+def _route(t: Tournament, algo: str) -> str:
     """The feasibility gate: the route ``solve`` takes for a concrete ``algo``.
 
     Returns ``brute``, ``degree`` (NO by the degree certificate),
-    ``identity`` (nobody beats the favorite), ``exact`` or ``color`` (color
-    coding), or raises ValueError naming the limit the route exceeds.
+    ``identity`` (nobody beats the favorite), ``exact`` or ``forest`` (the
+    witness-forest search), or raises ValueError naming the limit the route
+    exceeds.
     """
     if algo == "brute":
         return "brute"
     if t.ell < t.num_rounds:
         return "degree"
     k = t.k
-    palette = k * (1 << k)
     if algo == "indeg" and k == 0:
         return "identity"
-    if algo != "indeg" or palette >= t.n:
+    if algo != "indeg" or k << k >= t.n:
         if t.n > EXACT_MAX_N:
             raise ValueError(f"exact solver is capped at {EXACT_MAX_N} players, got n={t.n}")
         return "exact"
-    if palette + 1 > _BATCH_MAX_COLORS:  # one more color for the stem vertex
-        raise ValueError(
-            f"color coding at k={k} needs {palette + 1} colors, "
-            f"over the cap of {_BATCH_MAX_COLORS}"
-        )
-    _iteration_budget(palette - k, cfg)
-    return "color"
+    if k > 2:
+        raise ValueError(f"the witness-forest search covers k <= 2, got k={k}")
+    return "forest"
 
 
-def solve(t: Tournament, algo: str = "auto", cfg: IndegConfig = IndegConfig()) -> Seeding | None:
+def solve(t: Tournament, algo: str = "auto") -> Seeding | None:
     """Winning seeding for the favorite, or None.
 
     ``algo`` is one of ``ALGOS`` (see ``pick``).  The feasibility gate runs
     before any work.  Every YES is verified by simulation before it is
-    returned.  A None from color coding is wrong with probability at most
-    e**-iteration_multiplier; every other None is exact.
+    returned, and every None is exact.
     """
-    route = _route(t, pick(t, algo), cfg)
+    route = _route(t, pick(t, algo))
     if route == "degree":
         return None
     if route == "brute":
@@ -331,7 +270,7 @@ def solve(t: Tournament, algo: str = "auto", cfg: IndegConfig = IndegConfig()) -
         lba = solve_exact(t)
         s = None if lba is None else lba_to_seeding(lba)
     else:
-        wwf = find_wwf(t, cfg)
+        wwf = find_wwf(t)
         s = None if wwf is None else lba_to_seeding(complete_wwf(t, wwf))
     if s is not None:
         _verify(t, s)

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from conftest import tournaments
 from hypothesis import given
@@ -58,6 +60,18 @@ class TestSeedingConversions:
 
     def test_lba_to_seeding_frozen(self):
         assert lba_to_seeding(T4_LBA) == Seeding((0, 1, 3, 2))
+
+    def test_lba_to_seeding_leaves_no_cyclic_garbage(self):
+        # cyclic garbage lives until a collection, so a 2048-player fold
+        # would hold one list per player that long
+        lba = Lba(root=0, parent={v: v & (v - 1) for v in range(1, 64)})
+        gc.collect()
+        gc.disable()
+        try:
+            assert lba_to_seeding(lba).leaf_order == tuple(range(64))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_lba_to_seeding_rejects_non_bracket_shape(self):
         with pytest.raises(ValueError):

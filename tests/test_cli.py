@@ -1,6 +1,7 @@
 import pytest
 from conftest import T4_NO_TEXT, T4_YES_TEXT
 
+from tfpsolve import Tournament, format_tournament, gen_planted_yes, gen_random
 from tfpsolve.cli import main
 
 
@@ -52,7 +53,10 @@ class TestDecide:
 
     @pytest.mark.parametrize(
         "k, limit",
-        [(3, "needs 25 colors, over the cap of 20"), (4, "capped at 16 players, got n=32")],
+        [
+            (3, "the witness-forest search covers k <= 2, got k=3"),
+            (4, "capped at 16 players, got n=32"),
+        ],
     )
     def test_out_of_reach_names_one_limit(self, capsys, tmp_path, k, limit):
         path = str(tmp_path / "big.tfp")
@@ -108,6 +112,37 @@ class TestSolve:
         )
         assert code == 0
         assert "seeding: 0 3 1 2" in out
+
+
+class TestBenchmarkArgv:
+    """The solver argv of the repository's benchmark:
+    ``decide|solve <file> --algo indeg --seed S --multiplier M``."""
+
+    @staticmethod
+    def undefeated_conqueror() -> Tournament:
+        t = gen_random(128, 2, seed=0)
+        c = min(t.in_neighbors)
+        masks = [m & ~(1 << c) for m in t.out_masks]
+        masks[c] = ((1 << 128) - 1) & ~(1 << c)
+        return Tournament(n=128, vstar=t.vstar, out_masks=tuple(masks))
+
+    @pytest.mark.parametrize("command", ["decide", "solve"])
+    def test_seed_and_multiplier_parse_and_change_nothing(self, capsys, tmp_path, command):
+        cases = [(self.undefeated_conqueror(), 1), (gen_planted_yes(64, 2, seed=0)[0], 0)]
+        for i, (t, want) in enumerate(cases):
+            path = tmp_path / f"in{i}.tfp"
+            path.write_text(format_tournament(t))
+            outs = set()
+            for seed in ("1", "2"):
+                for m in ("20", "3"):
+                    code, out, err = run(
+                        capsys, command, str(path), "--algo", "indeg", "--seed", seed,
+                        "--multiplier", m,
+                    )
+                    assert (code, err) == (want, "")
+                    outs.add(out)
+            assert len(outs) == 1
+            assert outs.pop().startswith("NO\n" if want else "YES\n")
 
 
 class TestGen:

@@ -4,7 +4,6 @@ from conftest import T4_YES_TEXT, tournaments
 from hypothesis import given
 
 from tfpsolve import (
-    HostGraph,
     KnockoutTrace,
     ParseError,
     Seeding,
@@ -290,9 +289,9 @@ class TestSeeding:
         order = np.arange(64)
         assert champion_of(t, order) == champion_of(t, range(64))
         assert bracket_rounds(t, order) == bracket_rounds(t, range(64))
-        assert arbitrary_lba(t, order) == arbitrary_lba(t, range(64))
-        host = HostGraph(out_masks=(np.int64(2), np.int64(0)))
-        assert host.out_lists == ([1], []) and host == HostGraph(out_masks=(2, 0))
+        tree = arbitrary_lba(t, order)
+        assert tree == arbitrary_lba(t, range(64))
+        assert all(type(v) is int for v in (tree.root, *tree.parent, *tree.parent.values()))
 
 
 class TestSimulation:

@@ -1,5 +1,5 @@
-import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,14 +11,12 @@ from hypothesis import given, settings
 
 import tfpsolve
 from tfpsolve import (
-    IndegConfig,
     Lba,
     Seeding,
     Tournament,
     Wwf,
     brute_force_decide,
-    build_host,
-    build_pattern_forest,
+    brute_force_wwf,
     champion_of,
     complete_wwf,
     find_wwf,
@@ -27,11 +25,10 @@ from tfpsolve import (
     is_lba,
     is_wwf,
     pick,
-    sample_coloring,
     solve,
+    solve_exact,
 )
-from tfpsolve.embed import _PackedDp
-from tfpsolve.indeg import _chunk_sizes, _color_rows, _iteration_budget
+from tfpsolve.core import _bits
 
 
 def dominating_conquerors(n: int) -> Tournament:
@@ -47,147 +44,108 @@ def dominating_conquerors(n: int) -> Tournament:
     return Tournament(n=n, vstar=0, out_masks=tuple(out))
 
 
-class TestPatternAndHost:
-    def test_pattern_k1(self):
-        assert build_pattern_forest(1).parents == (-1, 0, 1)
-
-    def test_pattern_k2(self):
-        p = build_pattern_forest(2)
-        assert p.parents == (-1, 0, 1, 1, 3, 0, 5, 5, 7)
-        assert p.subtree_sizes[0] == 9
-        assert p.subtree_sizes[1] == p.subtree_sizes[5] == 4
-
-    def test_pattern_rejects_k0(self):
-        with pytest.raises(ValueError):
-            build_pattern_forest(0)
-
-    def test_host_reference(self, t4_yes):
-        host = build_host(t4_yes)
-        assert host.out_masks == (10, 12, 0, 4, 11)
-
-    def test_host_drops_only_arcs_into_favorite(self, t4_yes):
-        host = build_host(t4_yes)
-        # arc 2 -> 0 removed; every other original arc kept
-        for u in range(4):
-            for v in range(4):
-                if u == v:
-                    continue
-                kept = host.out_masks[u] >> v & 1
-                orig = t4_yes.beats(u, v)
-                assert kept == (orig and v != 0)
+def _orient(a: np.ndarray, winner: int, loser: int) -> None:
+    a[winner, loser], a[loser, winner] = True, False
 
 
-class TestColorings:
-    def test_in_neighbors_get_low_colors(self):
-        t = gen_random(16, 3, seed=5)
-        row = sample_coloring(t, np.random.default_rng(0))
-        assert row.shape == (17,)
-        assert row[sorted(t.in_neighbors)].tolist() == [0, 1, 2]
-        assert row[16] == 3 * 8  # the stem's own top color
-        for v in t.out_neighbors | {t.vstar}:
-            assert 3 <= row[v] <= 23
-
-    def test_deterministic_given_seed(self):
-        t = gen_random(16, 2, seed=5)
-        a = sample_coloring(t, np.random.default_rng(42))
-        b = sample_coloring(t, np.random.default_rng(42))
-        assert np.array_equal(a, b)
-
-    def test_rejects_k0(self):
-        t = gen_random(4, 0, seed=1)
-        with pytest.raises(ValueError):
-            sample_coloring(t, np.random.default_rng(0))
+def biased(n: int, k: int, seed: int) -> Tournament:
+    """``gen_random`` with each conqueror beating each outsider with one
+    probability drawn from [0.75, 1]: NOs that no degree bound certifies."""
+    t = gen_random(n, k, seed=seed)
+    a = _bits(t.out_masks, n).copy()
+    rng = np.random.default_rng(seed)
+    outsiders = sorted(t.out_neighbors)
+    for c in sorted(t.in_neighbors):
+        for o, win in zip(outsiders, rng.random(len(outsiders)) < rng.uniform(0.75, 1)):
+            _orient(a, *((c, o) if win else (o, c)))
+    return Tournament.from_matrix(a, t.vstar)
 
 
-class TestBudget:
-    def test_reference_budgets(self):
-        assert _iteration_budget(6, IndegConfig()) == 404
-        assert _iteration_budget(6, IndegConfig(iteration_multiplier=20.0)) == 8069
-        assert _iteration_budget(1, IndegConfig(iteration_multiplier=20.0)) == 55
-        assert _iteration_budget(6, IndegConfig(iteration_multiplier=0.25)) == 101
+def gadget(n: int, k: int, seed: int, head: int = 0) -> Tournament:
+    """NO for k >= 2 that neither degree nor reachability certifies.
 
-    def test_absurd_budget_raises(self):
-        with pytest.raises(ValueError, match="over the cap of 100000000"):
-            _iteration_budget(21, IndegConfig())
-        with pytest.raises(ValueError, match="over the cap of 100000000"):
-            _iteration_budget(889, IndegConfig())  # would overflow exp if evaluated
+    Every conqueror beats every outsider, except that one out-neighbor w of
+    the favorite beats the chain's first conqueror and nobody else.  The
+    conquerors form a chain from there, so conqueror i is i arcs below w,
+    deeper than a bracket tree on 2**k players reaches.  ``head`` rotates
+    the ascending conquerors to pick the one w beats.
+    """
+    t = gen_random(n, k, seed=seed)
+    a = _bits(t.out_masks, n).copy()
+    ins = sorted(t.in_neighbors)
+    chain = ins[head:] + ins[:head]
+    w = random.Random(seed).choice(sorted(t.out_neighbors))
+    for c in chain:
+        for o in t.out_neighbors:
+            _orient(a, c, o)
+    for c, d in zip(chain, chain[1:]):
+        _orient(a, c, d)
+    for o in t.players:
+        if o != w:
+            _orient(a, o, w)
+    _orient(a, w, chain[0])
+    return Tournament.from_matrix(a, t.vstar)
 
-    @pytest.mark.parametrize("m", [0.0, -5.0, math.nan, math.inf, -math.inf])
-    def test_rejects_multiplier_without_miss_bound(self, m):
-        with pytest.raises(ValueError, match="positive and finite"):
-            IndegConfig(iteration_multiplier=m)
 
-    def test_chunks_cover_budget_in_order(self):
-        assert _chunk_sizes(100) == [64, 36]
-        assert _chunk_sizes(8069) == [64, 128, 256, 512] + [1024] * 6 + [965]
-        assert sum(_chunk_sizes(8069)) == 8069
+def sample(i: int, n: int = 16) -> Tournament:
+    """Instance i of the forest-search suites: k alternates 1, 2; every third
+    is a gadget, the rest biased."""
+    k = 1 + i % 2
+    return gadget(n, k, seed=i, head=i // 3 % 2) if i % 3 == 0 else biased(n, k, seed=i)
 
 
 class TestFindWwf:
     def test_reference_forest(self, t4_yes):
-        w = find_wwf(t4_yes, IndegConfig(rng_seed=5, iteration_multiplier=20.0))
+        w = find_wwf(t4_yes)
         assert w == Wwf(trees=(Lba(root=1, parent={2: 1}),))
         assert is_wwf(t4_yes, w)
 
-    def test_first_hit_matches_sequential_draws(self):
-        # the batch path must consume the generator exactly like one
-        # sample_coloring call per iteration
-        t = gen_random(16, 2, seed=9)
-        rng = np.random.default_rng(31)
-        first = sample_coloring(t, rng)
-        cfg = IndegConfig(rng_seed=31, iteration_multiplier=0.002)
-        assert _iteration_budget(6, cfg) == 1
-        w = find_wwf(t, cfg)
-        # iteration 0 uses exactly `first`; embeddability of that coloring
-        # decides the one-iteration search
-        dp = _PackedDp(build_pattern_forest(2), build_host(t), t.n, first[None], 9)
-        assert (w is not None) == bool(dp.hits[0])
+    def test_agrees_with_oracles(self):
+        nos = 0
+        for i in range(60):
+            t = sample(i)
+            w = find_wwf(t)
+            expect = brute_force_wwf(t)
+            assert (w is None) == (expect is None) == (solve_exact(t) is None), i
+            if w is not None:
+                assert is_wwf(t, w), i
+            nos += w is None
+        assert 10 < nos < 50  # both outcomes exercised
 
-    def test_every_batch_row_matches_sequential_draws(self, monkeypatch):
-        # every row of every chunk, not just the first, is the coloring that
-        # one sample_coloring call per iteration would draw
-        t = gen_random(16, 2, seed=9)
-        cfg = IndegConfig(rng_seed=31, iteration_multiplier=0.5)
-        assert _iteration_budget(6, cfg) == 202  # chunks of 64, 128 and 10
-        rows = []
+    def test_k2_needs_at_most_81_calls(self, monkeypatch):
+        calls = []
+        find = tfpsolve.indeg._find
 
-        class Record:
-            def __init__(self, pattern, host, d, color_idx, num_colors):
-                rows.append(color_idx.copy())
-                self.hits = np.zeros(len(color_idx), bool)  # never hit: use every draw
+        def counted(*args):
+            calls.append(args)
+            return find(*args)
 
-        monkeypatch.setattr(tfpsolve.indeg, "_PackedDp", Record)
-        assert find_wwf(t, cfg) is None
-        assert [len(r) for r in rows] == _chunk_sizes(202)
-        rng = np.random.default_rng(31)
-        expect = [sample_coloring(t, rng) for _ in range(202)]
-        assert np.array_equal(np.concatenate(rows), np.array(expect))
+        monkeypatch.setattr(tfpsolve.indeg, "_find", counted)
+        most = 0
+        for i in range(1, 400, 2):  # k = 2
+            for n in (16, 32):
+                calls.clear()
+                find_wwf(sample(i, n))
+                most = max(most, len(calls))
+        assert 41 < most <= 81  # some search branched to |X| = 3
 
-    def test_one_dp_per_decided_chunk(self, monkeypatch):
-        # a hit rebuilds its witness from the batch that found it, so no
-        # second DP is built
-        built = []
-
-        class Counted(_PackedDp):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(len(self.hits))
-
-        monkeypatch.setattr(tfpsolve.indeg, "_PackedDp", Counted)
-        t, _ = gen_planted_yes(32, 2, seed=1)
-        assert find_wwf(t, IndegConfig(rng_seed=0, iteration_multiplier=20.0)) is not None
-        assert built == [64]
-        built.clear()
-        assert find_wwf(dominating_conquerors(16), IndegConfig(iteration_multiplier=0.5)) is None
-        assert built == _chunk_sizes(202)
+    @pytest.mark.parametrize("n", [32, 128, 1024])
+    def test_gadget_no_is_exact(self, n):
+        for head in (0, 1):
+            t = gadget(n, 2, seed=n, head=head)
+            assert t.ell >= t.num_rounds and pick(t) == "indeg"
+            assert solve(t, "indeg") is None
 
     def test_no_instance_exhausts_budget(self):
-        t = dominating_conquerors(16)
-        assert find_wwf(t, IndegConfig(rng_seed=0, iteration_multiplier=0.5)) is None
+        # an exact NO, the same as the exact solver's
+        assert find_wwf(dominating_conquerors(16)) is None
+        assert solve_exact(dominating_conquerors(16)) is None
 
     def test_rejects_wrong_regime(self, t4_no):
         with pytest.raises(ValueError):
-            find_wwf(t4_no, IndegConfig())  # k * 2**k = 8 >= 4
+            find_wwf(t4_no)  # k * 2**k = 8 >= 4
+        with pytest.raises(ValueError):
+            find_wwf(gen_random(32, 3, seed=0))  # k = 3
 
 
 class TestCompleteWwf:
@@ -247,25 +205,25 @@ class TestSolveIndeg:
 
     def test_exact_route_respects_cap(self):
         t = dominating_conquerors(32)
-        # k = 2, 2 * 4 = 8 < 32: randomized route, 101 draws end in NO
-        assert solve(t, "indeg", IndegConfig(iteration_multiplier=0.25)) is None
+        # k = 2, 2 * 4 = 8 < 32: the forest search, not the capped exact
+        # solver, answers NO
+        assert solve(t, "indeg") is None
 
     def test_planted_instances_solved_and_verified(self):
         for seed in range(5):
             t, _ = gen_planted_yes(32, 2, seed=seed)
-            s = solve(t, "indeg", IndegConfig(rng_seed=seed, iteration_multiplier=20.0))
+            s = solve(t, "indeg")
             assert s is not None and champion_of(t, s.leaf_order) == 0
 
     def test_reference_instances(self, t4_yes, t4_no):
-        cfg = IndegConfig(rng_seed=5, iteration_multiplier=20.0)
-        s = solve(t4_yes, "indeg", cfg)
+        s = solve(t4_yes, "indeg")
         assert s is not None and champion_of(t4_yes, s.leaf_order) == 0
-        assert solve(t4_no, "indeg", cfg) is None
+        assert solve(t4_no, "indeg") is None
 
     @settings(max_examples=50, deadline=None)
     @given(tournaments(max_rounds=2))
     def test_agrees_with_brute_force(self, t):
-        got = solve(t, "indeg", IndegConfig(rng_seed=7, iteration_multiplier=20.0))
+        got = solve(t, "indeg")
         expect = brute_force_decide(t)
         assert (got is None) == (expect is None)
         if got is not None:
@@ -281,11 +239,10 @@ class TestSolveGate:
         with pytest.raises(ValueError, match="unknown algorithm"):
             pick(t4_yes, "fast")
 
-    def test_gate_names_the_draw_cap(self):
-        # k = 2 fits the engine; only an absurd multiplier exceeds the cap
-        cfg = IndegConfig(iteration_multiplier=1e6)
-        with pytest.raises(ValueError, match=r"e\*\*6\) draws, over the cap of 100000000$"):
-            solve(gen_random(32, 2, seed=0), "auto", cfg)
+    def test_gate_names_the_forest_limit(self):
+        # k = 3 with 3 * 8 < 32 is past the search and below no exact cap
+        with pytest.raises(ValueError, match=r"^the witness-forest search covers k <= 2, got k=3$"):
+            solve(gen_random(32, 3, seed=0), "auto")
 
     @pytest.mark.parametrize("algo", ["brute", "exact", "outdeg", "indeg"])
     def test_every_yes_is_simulated(self, t4_yes, monkeypatch, algo):
@@ -296,15 +253,4 @@ class TestSolveGate:
         monkeypatch.setattr(tfpsolve.indeg, "lba_to_seeding", lambda lba: losing)
         monkeypatch.setattr(tfpsolve.indeg, "brute_force_decide", lambda t: losing)
         with pytest.raises(AssertionError, match="does not crown the favorite"):
-            solve(t4_yes, algo, IndegConfig(rng_seed=5, iteration_multiplier=20.0))
-
-
-def test_color_rows_layout():
-    t = gen_random(8, 2, seed=11)
-    draws = np.arange(3, 9)[None]  # six non-conquerors, colors 3..8
-    rows = _color_rows(t, draws)
-    others = sorted(t.out_neighbors | {t.vstar})
-    assert rows.shape == (1, 9) and rows.dtype == np.int32
-    assert rows[0, others].tolist() == list(range(2, 8))
-    assert rows[0, sorted(t.in_neighbors)].tolist() == [0, 1]
-    assert rows[0, 8] == 8  # the stem
+            solve(t4_yes, algo)
