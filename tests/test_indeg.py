@@ -1,3 +1,6 @@
+import argparse
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -28,7 +31,9 @@ from tfpsolve import (
     solve,
     solve_exact,
 )
-from tfpsolve.core import _bits
+from tfpsolve.cli import _check_multiplier
+from tfpsolve.core import _bits, _masks
+from tfpsolve.indeg import _find
 
 
 def dominating_conquerors(n: int) -> Tournament:
@@ -94,6 +99,130 @@ def sample(i: int, n: int = 16) -> Tournament:
     return gadget(n, k, seed=i, head=i // 3 % 2) if i % 3 == 0 else biased(n, k, seed=i)
 
 
+def _in_masks(t: Tournament) -> tuple[int, ...]:
+    return _masks(_bits(t.out_masks, t.n).T)
+
+
+def brute_find(t: Tournament, W: tuple[int, ...], X: int) -> bool:
+    """Reference for ``_find``: some bracket tree r -> x (k = 1) or
+    r -> a, r -> b -> c (k = 2) on players outside ``X``, rooted outside the
+    favorite's in-set, with the favorite only as its root and ``W`` among its
+    non-roots."""
+    free = [v for v in t.players if not X >> v & 1]
+    for tup in itertools.permutations(free, 1 << t.k):
+        r, kids = tup[0], tup[1:]
+        if r in t.in_neighbors or t.vstar in kids or not set(W) <= set(kids):
+            continue
+        arcs = [(r, kids[0])] if t.k == 1 else [(r, kids[0]), (r, kids[1]), (kids[1], kids[2])]
+        if all(t.beats(p, x) for p, x in arcs):
+            return True
+    return False
+
+
+class TestPatternAndHost:
+    """The tree shape the search looks for (the pattern) and the arcs it may
+    use (the host: every arc of the tournament except those into the favorite)."""
+
+    def test_pattern_k1(self):
+        yes = 0
+        for i in range(0, 40, 2):  # k = 1
+            t = sample(i)
+            w = find_wwf(t)
+            if w is not None:
+                (u,) = t.in_neighbors
+                (tree,) = w.trees
+                assert tree.parent == {u: tree.root}, i
+                yes += 1
+        assert 0 < yes < 20
+
+    def test_pattern_k2(self):
+        yes = 0
+        for i in range(1, 40, 2):  # k = 2
+            w = find_wwf(sample(i))
+            if w is None:
+                continue
+            yes += 1
+            assert len(w.trees) == 2
+            for tree in w.trees:
+                # r -> a and r -> b -> c: subtrees of sizes 1 and 2 under the root
+                kids = [x for x, p in tree.parent.items() if p == tree.root]
+                deep = [x for x, p in tree.parent.items() if p != tree.root]
+                assert tree.size == 4 and len(kids) == 2 and len(deep) == 1, i
+                assert tree.parent[deep[0]] in kids, i
+        assert 0 < yes < 20
+
+    def test_pattern_rejects_k0(self):
+        for n in (4, 32):
+            with pytest.raises(ValueError, match="1 <= k <= 2"):
+                find_wwf(gen_random(n, 0, seed=1))
+
+    def test_host_reference(self, t4_yes):
+        in_masks = _in_masks(t4_yes)
+        assert in_masks == (4, 1, 10, 3)
+        # conqueror 2 is beaten by 1 and 3, both outside the in-set {2}
+        assert _find(t4_yes, in_masks, (2,), 0) == Lba(root=1, parent={2: 1})
+        assert _find(t4_yes, in_masks, (2,), 0b0010) == Lba(root=3, parent={2: 3})
+        assert _find(t4_yes, in_masks, (2,), 0b1010) is None
+
+    def test_host_drops_only_arcs_into_favorite(self):
+        rng = np.random.default_rng(8)
+        found = missed = 0
+        for i in range(120):
+            k = 1 + i % 2
+            t = gen_random(8, k, seed=i) if i % 4 < 2 else biased(8, k, seed=i)
+            us = sorted(t.in_neighbors)
+            W = tuple(us[: 1 + int(rng.integers(0, k))])
+            X = sum(1 << v for v in t.players if v not in W and rng.random() < 0.3)
+            got = _find(t, _in_masks(t), W, X)
+            assert (got is not None) == brute_find(t, W, X), (i, W, X)
+            if got is None:
+                missed += 1
+                continue
+            found += 1
+            assert is_lba(t, got) and got.size == 1 << k, i
+            assert t.vstar not in got.parent and set(W) <= got.parent.keys(), i
+            assert got.root not in t.in_neighbors and not X & sum(1 << v for v in got.vertices), i
+        assert 20 < found and 20 < missed
+
+
+class TestColorings:
+    """The solvers draw no colorings: an answer is a function of the instance."""
+
+    def test_deterministic_given_seed(self, monkeypatch):
+        ts = [sample(i, 32) for i in range(8)]
+        before = [solve(t, "indeg") for t in ts]
+        assert None in before and any(s is not None for s in before)
+
+        def draw(*args, **kwargs):
+            raise AssertionError("the solver drew a random number")
+
+        for name in ("default_rng", "random", "integers", "permutation", "shuffle"):
+            if hasattr(np.random, name):
+                monkeypatch.setattr(np.random, name, draw)
+        for name in ("random", "randrange", "randint", "choice", "shuffle", "sample"):
+            monkeypatch.setattr(random, name, draw)
+        assert [solve(t, "indeg") for t in ts] == before
+
+    def test_rejects_k0(self, monkeypatch):
+        # k = 0 never reaches the forest search
+        def search(t):
+            raise AssertionError("k = 0 reached the forest search")
+
+        monkeypatch.setattr(tfpsolve.indeg, "find_wwf", search)
+        t = gen_random(16, 0, seed=1)
+        assert solve(t, "indeg") == Seeding(tuple(range(16)))
+
+
+class TestBudget:
+    """``--multiplier`` once sized the draw budget; it is still validated."""
+
+    @pytest.mark.parametrize("m", [0.0, -5.0, math.nan, math.inf, -math.inf])
+    def test_rejects_multiplier_without_miss_bound(self, m):
+        with pytest.raises(ValueError, match="positive and finite"):
+            _check_multiplier(argparse.Namespace(multiplier=m))
+        _check_multiplier(argparse.Namespace(multiplier=20.0))
+
+
 class TestFindWwf:
     def test_reference_forest(self, t4_yes):
         w = find_wwf(t4_yes)
@@ -128,6 +257,31 @@ class TestFindWwf:
                 find_wwf(sample(i, n))
                 most = max(most, len(calls))
         assert 41 < most <= 81  # some search branched to |X| = 3
+
+    def test_one_dp_per_decided_chunk(self, monkeypatch):
+        # one _find call decides k = 1, and k = 2 when one tree holds both
+        # conquerors
+        calls = []
+        find = tfpsolve.indeg._find
+
+        def counted(*args):
+            calls.append(find(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(tfpsolve.indeg, "_find", counted)
+        shared = 0
+        for i in range(40):
+            t = sample(i, 32)
+            calls.clear()
+            w = find_wwf(t)
+            if t.k == 1:
+                assert len(calls) == 1 and (w is None) == (calls[0] is None), i
+            elif calls[0] is not None:
+                assert len(calls) == 1 and w.trees[0] == calls[0], i
+                shared += 1
+            else:
+                assert len(calls) > 1, i
+        assert 0 < shared < 20
 
     @pytest.mark.parametrize("n", [32, 128, 1024])
     def test_gadget_no_is_exact(self, n):
