@@ -20,6 +20,7 @@ implementation stays single-threaded.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -174,6 +175,7 @@ def _add_seeding_flags(sp: argparse.ArgumentParser) -> None:
     grp.add_argument("--seeding-file", help="file holding the leaf order (e.g. a .witness)")
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tfpsolve",

@@ -149,6 +149,11 @@ class Tournament:
         """Players the favorite beats."""
         return frozenset(u for u in self.players if self.beats(self.vstar, u))
 
+    @cached_property
+    def in_masks(self) -> tuple[int, ...]:
+        """Row ``v`` is the bitmask of the players that beat ``v``."""
+        return _masks(_bits(self.out_masks, self.n).T)
+
     @property
     def k(self) -> int:
         """In-degree of the favorite."""

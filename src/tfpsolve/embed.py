@@ -2,9 +2,13 @@
 
 Bit u of ``winners[S]`` says that player u can win a bracket on exactly the
 player set S.  A bracket on S splits into two halves of equal size, and u
-wins it when u wins one half and beats the winner of the other, so one
-vectorized pass per bracket size fills the table.  That keeps the
-spanning-arborescence search at 2**n words.
+wins it when u wins one half and beats a winner of the other.  Bit u of
+``beats_some[S]`` says that u beats some member of S, so the winners through
+a split with half-winners a and b are ``(a & beats_some[b]) | (b &
+beats_some[a])``: one table lookup per split, and one vectorized pass per
+bracket size fills the table.  Both tables hold one ``uint16`` word per
+player set, one bit per player, which is exact up to ``EXACT_MAX_N`` = 16
+players and keeps the spanning-arborescence search at 2**n words.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ __all__ = [
 
 
 EXACT_MAX_N = 16  # the winners table has 2**n words
+# One bit per player; a cap that is no numpy word width fails at import.
+_WORD = np.dtype(f"uint{EXACT_MAX_N}")
 
 
 @lru_cache(maxsize=None)
@@ -36,12 +42,14 @@ def _split_levels(n: int):
     size = 2
     while size <= n:
         combos = np.array(list(itertools.combinations(range(n), size)), np.int64)
-        masks = (np.int64(1) << combos).sum(axis=1)
+        bits = 2**combos
+        # picks[j, i] = 1: pattern i puts the set's j-th player in the sub
         pats = list(itertools.combinations(range(1, size), size // 2 - 1))
-        cols = [
-            (np.int64(1) << combos[:, [0, *p]]).sum(axis=1) for p in pats
-        ]
-        s1 = np.stack(cols, axis=1).reshape(-1)
+        picks = np.zeros((size, len(pats)), np.int64)
+        picks[0] = 1
+        picks[np.array(pats, np.intp).T, np.arange(len(pats))] = 1
+        masks = bits.sum(axis=1)
+        s1 = (bits @ picks).reshape(-1)
         s2 = np.repeat(masks, len(pats)) - s1
         levels.append((s1, s2, masks, len(pats)))
         size *= 2
@@ -51,18 +59,16 @@ def _split_levels(n: int):
 def _winners_table(t: Tournament) -> np.ndarray:
     """Bit u of winners[S]: player u can win a bracket on exactly the set S."""
     n = t.n
-    winners = np.zeros(1 << n, np.uint32)
-    for u in range(n):
-        winners[1 << u] = 1 << u
+    beats_some = np.zeros(1 << n, _WORD)
+    for v, beaten_by in enumerate(t.in_masks):
+        beats_some[1 << v : 2 << v] = beats_some[: 1 << v] | beaten_by
+    winners = np.zeros(1 << n, _WORD)
+    singles = 1 << np.arange(n)
+    winners[singles] = singles
     for s1, s2, targets, per_set in _split_levels(n):
         a = winners[s1]
         b = winners[s2]
-        ch = np.zeros(a.shape, np.uint32)
-        for u in range(n):
-            om = t.out_masks[u]
-            bit = np.uint32(1 << u)
-            ch |= ((a & bit != 0) & (b & om != 0)).astype(np.uint32) * bit
-            ch |= ((b & bit != 0) & (a & om != 0)).astype(np.uint32) * bit
+        ch = (a & beats_some[b]) | (b & beats_some[a])
         winners[targets] = np.bitwise_or.reduce(ch.reshape(-1, per_set), axis=1)
     return winners
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 
 from .arborescence import Lba, arbitrary_lba, is_lba, lba_to_seeding, merge_lbas
-from .core import Seeding, Tournament, _bits, _masks, champion_of
+from .core import Seeding, Tournament, champion_of
 from .embed import EXACT_MAX_N, solve_exact
 from .oracles import Wwf, brute_force_decide, is_wwf
 
@@ -150,14 +150,13 @@ def find_wwf(t: Tournament) -> Wwf | None:
     k, n = t.k, t.n
     if not 1 <= k <= 2 or k << k >= n:
         raise ValueError("witness-forest search applies when 1 <= k <= 2 and k*2**k < n")
-    in_masks = _masks(_bits(t.out_masks, n).T)
     us = tuple(sorted(t.in_neighbors))
-    whole = _find(t, in_masks, us, 0)
+    whole = _find(t, t.in_masks, us, 0)
     if whole is not None:
         rest = sorted(set(t.players) - whole.vertices)
         trees = (whole,) if k == 1 else (whole, arbitrary_lba(t, rest[:4]))
     else:
-        trees = _split(t, in_masks, *us, 0) if k == 2 else None
+        trees = _split(t, t.in_masks, *us, 0) if k == 2 else None
         if trees is None:
             return None
     wwf = Wwf(trees=trees)

@@ -9,10 +9,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import tournament_from_bits
 
+import tfpsolve
 from tfpsolve import (
     brute_force_decide,
     brute_force_wwf,
@@ -167,7 +169,8 @@ def test_criterion_9_cli_determinism(tmp_path):
     ]
     outputs = set()
     for threads in (None, "1", "4"):
-        env = dict(os.environ)
+        # the child imports the package under test, checkout or installed
+        env = {**os.environ, "PYTHONPATH": str(Path(tfpsolve.__file__).parents[1])}
         env.pop("TFP_THREADS", None)
         if threads is not None:
             env["TFP_THREADS"] = threads

@@ -2,7 +2,7 @@ import pytest
 from conftest import T4_NO_TEXT, T4_YES_TEXT
 
 from tfpsolve import Tournament, format_tournament, gen_planted_yes, gen_random
-from tfpsolve.cli import main
+from tfpsolve.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -231,6 +231,19 @@ class TestBench:
         lines = out.splitlines()
         assert len(lines) == 3 and lines[0].split() == ["file", "algo", "n", "verdict", "ms"]
         assert "YES" in lines[1] and "NO" in lines[2]
+
+
+class TestParser:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_repeat_calls_print_the_same(self, capsys, yes_file):
+        first = run(capsys, "solve", yes_file)
+        # flags given in between must not stick to the shared parser
+        run(capsys, "decide", yes_file, "--algo", "brute", "--seed", "7")
+        second = run(capsys, "solve", yes_file)
+        assert first == second
+        assert first[1].startswith("YES\nalgo: exact (auto)\n")
 
 
 class TestEnvironment:

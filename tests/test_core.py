@@ -30,6 +30,7 @@ class TestTournament:
         assert t4_yes.in_neighbors == frozenset({2})
         assert t4_yes.out_neighbors == frozenset({1, 3})
         assert t4_yes.k == 1 and t4_yes.ell == 2
+        assert t4_yes.in_masks == (4, 1, 10, 3)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):

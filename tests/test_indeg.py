@@ -32,7 +32,7 @@ from tfpsolve import (
     solve_exact,
 )
 from tfpsolve.cli import _check_multiplier
-from tfpsolve.core import _bits, _masks
+from tfpsolve.core import _bits
 from tfpsolve.indeg import _find
 
 
@@ -99,10 +99,6 @@ def sample(i: int, n: int = 16) -> Tournament:
     return gadget(n, k, seed=i, head=i // 3 % 2) if i % 3 == 0 else biased(n, k, seed=i)
 
 
-def _in_masks(t: Tournament) -> tuple[int, ...]:
-    return _masks(_bits(t.out_masks, t.n).T)
-
-
 def brute_find(t: Tournament, W: tuple[int, ...], X: int) -> bool:
     """Reference for ``_find``: some bracket tree r -> x (k = 1) or
     r -> a, r -> b -> c (k = 2) on players outside ``X``, rooted outside the
@@ -157,7 +153,7 @@ class TestPatternAndHost:
                 find_wwf(gen_random(n, 0, seed=1))
 
     def test_host_reference(self, t4_yes):
-        in_masks = _in_masks(t4_yes)
+        in_masks = t4_yes.in_masks
         assert in_masks == (4, 1, 10, 3)
         # conqueror 2 is beaten by 1 and 3, both outside the in-set {2}
         assert _find(t4_yes, in_masks, (2,), 0) == Lba(root=1, parent={2: 1})
@@ -173,7 +169,7 @@ class TestPatternAndHost:
             us = sorted(t.in_neighbors)
             W = tuple(us[: 1 + int(rng.integers(0, k))])
             X = sum(1 << v for v in t.players if v not in W and rng.random() < 0.3)
-            got = _find(t, _in_masks(t), W, X)
+            got = _find(t, t.in_masks, W, X)
             assert (got is not None) == brute_find(t, W, X), (i, W, X)
             if got is None:
                 missed += 1
