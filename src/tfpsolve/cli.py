@@ -43,7 +43,7 @@ from .oracles import niceness, repair_to_nice
 
 
 def _load(path: str) -> Tournament:
-    return parse_tournament(Path(path).read_text())
+    return parse_tournament(Path(path).read_bytes())
 
 
 def _check_multiplier(args: argparse.Namespace) -> None:

@@ -3,10 +3,17 @@
 A tournament's canonical form is ``out_masks``: one Python-int bitmask of
 beaten players per player, which simulation reads one bit at a time.  The
 n-by-n results table around it (parsing, checking, generating and
-formatting the TFP v1 text) goes through bool arrays instead: ``_bits``
-unpacks masks into a matrix and ``_masks`` packs a matrix back, so each of
-those steps is a few whole-array numpy passes over blocks of rows rather
-than a Python loop per cell.
+formatting the TFP v1 text) goes through numpy arrays instead, so each of
+those steps is a few whole-array passes over blocks of rows rather than a
+Python loop per cell.  ``_packed`` lays the masks out as an
+``(n, ceil(n/8))`` uint8 matrix of little-endian bytes; a block of rows or a
+byte-aligned strip of columns unpacks from it into bools, and ``_masks``
+packs a bool matrix back.
+
+``parse_tournament`` takes the file's text or its bytes.  Bytes in the
+canonical layout, the one ``format_tournament`` writes, are read in place
+as one uint8 array; any other layout goes through a line-by-line reader,
+which also names the first defect's line and column.
 """
 
 from __future__ import annotations
@@ -53,30 +60,40 @@ def _is_power_of_two(m: int) -> bool:
 
 
 # Rows per block in the array passes; bounds their temporaries at n=2048.
+# A multiple of 8, so each block's column strip starts on a byte.
 _BLOCK = 128
 
 
-def _bits(masks: Sequence[int], n: int) -> np.ndarray:
-    """Bool matrix with ``a[u, v]`` set iff bit v of ``masks[u]`` is.
+def _packed(masks: Sequence[int], n: int) -> np.ndarray:
+    """uint8 matrix whose row u is ``masks[u]`` in ``ceil(n/8)`` little-endian bytes.
 
     Every mask must be a non-negative int below ``2**n``.
     """
     width = (n + 7) // 8
     raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    rows = np.frombuffer(raw, np.uint8).reshape(len(masks), width)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+    return np.frombuffer(raw, np.uint8).reshape(len(masks), width)
 
 
-def _columns(masks: Sequence[int], lo: int, hi: int) -> np.ndarray:
-    """Columns lo..hi-1 of the bool matrix of ``masks``, without building the rest."""
-    window = (1 << (hi - lo)) - 1
-    return _bits([m >> lo & window for m in masks], hi - lo)
+def _strip(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bool columns lo..hi-1 of a packed matrix; ``lo`` must be a multiple of 8."""
+    cols = packed[:, lo // 8 : (hi + 7) // 8]
+    return np.unpackbits(cols, axis=1, count=hi - lo, bitorder="little").view(bool)
+
+
+def _bits(masks: Sequence[int], n: int) -> np.ndarray:
+    """Bool matrix with ``a[u, v]`` set iff bit v of ``masks[u]`` is."""
+    return _strip(_packed(masks, n), 0, n)
+
+
+def _ints(packed: np.ndarray) -> tuple[int, ...]:
+    """Row bitmasks of a packed matrix, the inverse of ``_packed``."""
+    raw, width = memoryview(packed.tobytes()), packed.shape[1]
+    return tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
 
 
 def _masks(a) -> tuple[int, ...]:
     """Row bitmasks of a bool matrix: bit v of row u is set iff ``a[u, v]``."""
-    packed = np.packbits(np.asarray(a, bool), axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return _ints(np.packbits(np.asarray(a, bool), axis=1, bitorder="little"))
 
 
 @dataclass(frozen=True)
@@ -112,9 +129,10 @@ class Tournament:
         # Off the diagonal exactly one of a[u, v] and a[v, u] holds.  The
         # clash matrix is symmetric, so its first cell in row-major order is
         # the least pair (u, v) with u < v.
+        packed = _packed(self.out_masks, self.n)
         for lo in range(0, self.n, _BLOCK):
             hi = min(self.n, lo + _BLOCK)
-            clash = _bits(self.out_masks[lo:hi], self.n) == _columns(self.out_masks, lo, hi).T
+            clash = _strip(packed[lo:hi], 0, self.n) == _strip(packed, lo, hi).T
             clash[np.arange(hi - lo), np.arange(lo, hi)] = False
             if clash.any():
                 u, v = divmod(int(np.argmax(clash)), self.n)
@@ -207,31 +225,94 @@ class KnockoutTrace:
 _META_RE = re.compile(r"n=(\d+) vstar=(\d+)")
 
 
-def parse_tournament(text: str) -> Tournament:
-    """Parse the TFP v1 text format.
+def parse_tournament(text: str | bytes) -> Tournament:
+    """Parse the TFP v1 format from a file's text or its bytes.
 
     Layout: a literal ``TFP v1`` line, an ``n=<int> vstar=<int>`` line, then n
     rows of n characters where a '1' in row u, column v means u beats v.
     Blank lines and lines starting with '#' are skipped.  The first defect
     in reading order is reported by line and column.
+
+    Bytes must be UTF-8, or ``UnicodeDecodeError`` is raised.  A valid file
+    in the canonical layout, the one ``format_tournament`` writes (the
+    header, then exactly n rows of n '0'/'1' cells, each ended by a line
+    feed, and nothing after them), is read in place from its bytes; an
+    ASCII ``str`` is encoded to take the same path.  Any other layout, and
+    every file with a defect, goes through the line-by-line reader, so each
+    error is the one that reader reports.
     """
-    lines: list[tuple[int, str]] = []
+    if isinstance(text, str):
+        fast = _parse_canonical(text.encode("ascii")) if text.isascii() else None
+        return fast or _parse_lines(text)
+    return _parse_canonical(text) or _parse_lines(text.decode())
+
+
+def _parse_canonical(data: bytes) -> Tournament | None:
+    """The tournament in ``data`` if it is a valid file in the canonical layout, else None.
+
+    The header ends at the line feed after its second non-comment line.
+    The bytes up to there are decoded and filtered exactly as
+    ``_parse_lines`` does, and must give just those two lines: a comment
+    ``str.splitlines`` breaks at a form feed, or a byte that is not UTF-8,
+    sends the file to ``_parse_lines`` instead.  The rows are one
+    ``(n, n + 1)`` view of ``data``, checked and packed a block of rows at a
+    time, and ``Tournament`` checks the orientation.
+    """
+    pos = found = 0
+    while found < 2:
+        end = data.find(b"\n", pos)
+        if end < 0:
+            return None
+        line = data[pos:end].strip()
+        found += bool(line) and not line.startswith(b"#")
+        pos = end + 1
+    try:
+        lines = _content_lines(data[:pos].decode())
+        if len(lines) != 2:
+            return None
+        n, vstar = _header(lines)
+    except ValueError:  # not UTF-8, a malformed header, or a number too long for int()
+        return None
+    if len(data) - pos != n * (n + 1):
+        return None
+    body = np.frombuffer(data, np.uint8, offset=pos).reshape(n, n + 1)
+    if (body[:, n] != ord("\n")).any():
+        return None
+    packed = np.empty((n, (n + 7) // 8), np.uint8)
+    for lo in range(0, n, _BLOCK):
+        cells = body[lo : lo + _BLOCK, :n]
+        if ((cells | 1) != ord("1")).any():
+            return None
+        packed[lo : lo + _BLOCK] = np.packbits(cells & 1, axis=1, bitorder="little")
+    try:
+        return Tournament(n, vstar, _ints(packed))
+    except ValueError:
+        return None
+
+
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped line) of every line not blank or a '#' comment."""
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((lineno, stripped))
+        if stripped and not stripped.startswith("#"):
+            lines.append((lineno, stripped))
+    return lines
 
-    def need(idx: int, what: str) -> tuple[int, str]:
-        if idx >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise ParseError(f"unexpected end of input: expected {what}", last, 1)
-        return lines[idx]
 
-    line1, header = need(0, "'TFP v1' header")
+def _need(lines: list[tuple[int, str]], idx: int, what: str) -> tuple[int, str]:
+    if idx >= len(lines):
+        last = lines[-1][0] if lines else 1
+        raise ParseError(f"unexpected end of input: expected {what}", last, 1)
+    return lines[idx]
+
+
+def _header(lines: list[tuple[int, str]]) -> tuple[int, int]:
+    """``n`` and ``vstar`` from the first two content lines."""
+    line1, header = _need(lines, 0, "'TFP v1' header")
     if header != "TFP v1":
         raise ParseError("malformed header: expected 'TFP v1'", line1, 1)
-    line2, meta = need(1, "'n=<int> vstar=<int>'")
+    line2, meta = _need(lines, 1, "'n=<int> vstar=<int>'")
     m = _META_RE.fullmatch(meta)
     if m is None:
         raise ParseError("malformed header: expected 'n=<int> vstar=<int>'", line2, 1)
@@ -241,43 +322,49 @@ def parse_tournament(text: str) -> Tournament:
     if vstar >= n:
         col = meta.index("vstar=") + len("vstar=") + 1
         raise ParseError(f"vstar={vstar} out of range for n={n}", line2, col)
+    return n, vstar
 
+
+def _parse_lines(text: str) -> Tournament:
+    """The line-by-line reader behind ``parse_tournament``, for any layout."""
+    lines = _content_lines(text)
+    n, vstar = _header(lines)
     body = lines[2 : 2 + n]
     rows = [row for _, row in body]
-    masks, first_bad = _row_masks(rows, n)
+    packed, first_bad = _row_masks(rows, n)
     if first_bad < len(rows):
         _check_row(first_bad, rows, n, body[first_bad][0])
         raise AssertionError(f"matrix row {first_bad} flagged without a defect")
     if len(rows) < n:
-        need(2 + len(rows), f"matrix row {len(rows)}")
+        _need(lines, 2 + len(rows), f"matrix row {len(rows)}")
     if len(lines) > 2 + n:
         raise ParseError("unexpected trailing content", lines[2 + n][0], 1)
-    return Tournament(n, vstar, tuple(masks))
+    return Tournament(n, vstar, _ints(packed))
 
 
-def _row_masks(rows: list[str], n: int) -> tuple[list[int], int]:
-    """Masks of the rows read, and the index of the first row with a defect.
+def _row_masks(rows: list[str], n: int) -> tuple[np.ndarray, int]:
+    """The packed rows read, and the index of the first row with a defect.
 
     A row has a defect when it is not n ASCII cells, when a cell is not
     '0'/'1', when its diagonal cell is '1', or when a cell repeats its
     mirror in an earlier row.  The index is ``len(rows)`` when no row has
-    one.  Rows are read a block at a time and the mirror cells come from
-    the masks already built, so no n-by-n matrix is held.
+    one.  Rows are read a block at a time and the mirror cells are a column
+    strip of the rows already packed, so no n-by-n bool matrix is held.
     """
     m = next((i for i, row in enumerate(rows) if len(row) != n or not row.isascii()), len(rows))
-    masks: list[int] = []
+    packed = np.zeros((m, (n + 7) // 8), np.uint8)
     for lo in range(0, m, _BLOCK):
         hi = min(m, lo + _BLOCK)
         cells = np.array(rows[lo:hi], dtype=f"S{n}").view(np.uint8).reshape(hi - lo, n)
         a = cells == ord("1")
-        masks += _masks(a)
-        mirror = _columns(masks, lo, hi).T  # a[j, i] at [i - lo, j]
+        packed[lo:hi] = np.packbits(a, axis=1, bitorder="little")
+        mirror = _strip(packed[:hi], lo, hi).T  # a[j, i] at [i - lo, j]
         defect = ((cells | 1) != ord("1")).any(axis=1)
         defect |= a[np.arange(hi - lo), np.arange(lo, hi)]
         defect |= np.tril(a[:, :hi] == mirror, lo - 1).any(axis=1)
         if defect.any():
-            return masks, lo + int(np.argmax(defect))
-    return masks, m
+            return packed, lo + int(np.argmax(defect))
+    return packed, m
 
 
 def _check_row(i: int, rows: list[str], n: int, lineno: int) -> None:

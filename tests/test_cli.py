@@ -52,6 +52,39 @@ class TestDecide:
         assert "line 2" in err
 
     @pytest.mark.parametrize(
+        "data",
+        [
+            T4_YES_TEXT.replace("\n", "\r\n").encode(),
+            T4_YES_TEXT.replace("0011\n", "0011\n# between rows\n\n").encode(),
+        ],
+        ids=["crlf", "comments_between_rows"],
+    )
+    def test_other_layouts_answer(self, capsys, tmp_path, data):
+        p = tmp_path / "yes.tfp"
+        p.write_bytes(data)
+        assert run(capsys, "decide", str(p)) == (0, "YES\nalgo: exact (auto)\n", "")
+
+    @pytest.mark.parametrize(
+        "data, err",
+        [
+            (
+                b"# caf\xe9\nTFP v1\nn=2 vstar=0\n01\n00\n",
+                "error: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+                "invalid continuation byte\n",
+            ),
+            (
+                b"TFP v1\n# x\x0cgarbage\nn=2 vstar=0\n01\n00\n",
+                "error: line 3, col 1: malformed header: expected 'n=<int> vstar=<int>'\n",
+            ),
+        ],
+        ids=["non_utf8", "form_feed_in_header_comment"],
+    )
+    def test_header_the_line_loop_rejects(self, capsys, tmp_path, data, err):
+        p = tmp_path / "bad.tfp"
+        p.write_bytes(data)
+        assert run(capsys, "decide", str(p)) == (2, "", err)
+
+    @pytest.mark.parametrize(
         "k, limit",
         [
             (3, "the witness-forest search covers k <= 2, got k=3"),

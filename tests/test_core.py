@@ -19,6 +19,7 @@ from tfpsolve import (
     simulate,
     validate_match_sequence,
 )
+from tfpsolve.core import _parse_canonical, _parse_lines
 
 
 class TestTournament:
@@ -68,6 +69,19 @@ class TestTournament:
         # (0,3) and (1,2) are both oriented both ways
         with pytest.raises(ValueError, match=r"^pair \(0,3\) is not oriented exactly once$"):
             Tournament(n=4, vstar=0, out_masks=(0b1010, 0b1100, 0b1011, 0b0001))
+        # n=4: the column strip is narrower than its one byte
+        with pytest.raises(ValueError, match=r"^pair \(2,3\) is not oriented exactly once$"):
+            Tournament(n=4, vstar=0, out_masks=(0b1110, 0b1100, 0b0000, 0b0000))
+        # n=256: the bad pairs lie in the second block, whose strip starts at byte 16;
+        # (131,140) is unoriented and (130,250) oriented both ways
+        masks = [(1 << 256) - (2 << u) for u in range(256)]  # u beats every v > u
+        masks[131] &= ~(1 << 140)
+        masks[250] |= 1 << 130
+        with pytest.raises(ValueError, match=r"^pair \(130,250\) is not oriented exactly once$"):
+            Tournament(n=256, vstar=0, out_masks=tuple(masks))
+        masks[250] &= ~(1 << 130)
+        with pytest.raises(ValueError, match=r"^pair \(131,140\) is not oriented exactly once$"):
+            Tournament(n=256, vstar=0, out_masks=tuple(masks))
 
     def test_self_loop_wins_over_bad_pair(self):
         with pytest.raises(ValueError, match=r"^player 2 listed as beating itself$"):
@@ -257,6 +271,146 @@ class TestParser:
         with pytest.raises(ParseError) as e:
             parse_tournament(text)
         assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+    @pytest.mark.parametrize("case", PARSE_ERRORS)
+    def test_first_defect_from_bytes(self, case):
+        text, message, line, col = PARSE_ERRORS[case]
+        with pytest.raises(ParseError) as e:
+            parse_tournament(text.encode())
+        assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+def _outcome(parse, arg):
+    """What ``parse`` makes of ``arg``: a Tournament, or the error's type and text."""
+    try:
+        return parse(arg)
+    except ValueError as e:  # ParseError and UnicodeDecodeError
+        return type(e), str(e)
+
+
+def _assert_same_as_line_loop(data: bytes) -> None:
+    """Bytes, and the text when it decodes, parse as the line-by-line reader does."""
+    want = _outcome(lambda d: _parse_lines(d.decode()), data)
+    assert _outcome(parse_tournament, data) == want
+    if not (isinstance(want, tuple) and want[0] is UnicodeDecodeError):
+        assert _outcome(parse_tournament, data.decode()) == want
+
+
+def _random_tournament(n: int, rng: np.random.Generator) -> Tournament:
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    return Tournament.from_matrix(upper | np.triu(~upper, 1).T, vstar=int(rng.integers(n)))
+
+
+def _line_starts(data: bytes) -> list[int]:
+    return [0] + [i + 1 for i, b in enumerate(data) if b == ord("\n")]
+
+
+def _insert(data: bytes, at: int, piece: bytes) -> bytes:
+    return data[:at] + piece + data[at:]
+
+
+def _cell(data: bytes, n: int, u: int, v: int) -> int:
+    """Offset of cell (u, v) in canonical bytes of an n-player file; v = n is the row's end."""
+    return len(data) - (n - u) * (n + 1) + v
+
+
+def _flip(data: bytes, n: int, *cells: tuple[int, int]) -> bytes:
+    out = bytearray(data)
+    for u, v in cells:
+        out[_cell(data, n, u, v)] ^= 1
+    return bytes(out)
+
+
+def _comment_at(data: bytes, rng, comment: bytes) -> bytes:
+    """``data`` with a comment line inserted before one of its lines, often in the header."""
+    starts = _line_starts(data)
+    pool = starts[:3] if rng.random() < 0.5 else starts
+    return _insert(data, int(rng.choice(pool)), comment)
+
+
+def _flip_mirror_pair(data: bytes, n: int, rng) -> bytes:
+    """Turn one pair around: the result is still a tournament, a different one."""
+    if n == 1:
+        return data
+    u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+    return _flip(data, n, (u, v), (v, u))
+
+
+def _replace(data: bytes, at: int, byte: int) -> bytes:
+    return data[:at] + bytes([byte]) + data[at + 1 :]
+
+
+def _bad_cell(data: bytes, n: int, rng) -> bytes:
+    """A cell byte other than '0'/'1' with the same low bit: 'p' for '0', 'q' for '1'."""
+    at = _cell(data, n, int(rng.integers(n)), int(rng.integers(n)))
+    return _replace(data, at, data[at] + 0x40)
+
+
+def _row_end_replaced(data: bytes, n: int, rng) -> bytes:
+    """One row ended by a space, a carriage return or a form feed instead of '\\n'."""
+    at = _cell(data, n, int(rng.integers(n)), n)
+    return _replace(data, at, int(rng.choice(list(b" \r\x0c"))))
+
+
+def _diagonal_one(data: bytes, n: int, rng) -> bytes:
+    v = int(rng.integers(n))
+    return _flip(data, n, (v, v))
+
+
+# Each takes canonical bytes of an n-player file and returns a variant.
+MUTATIONS = {
+    "flip_cell": lambda d, n, rng: _flip(d, n, (int(rng.integers(n)), int(rng.integers(n)))),
+    "flip_mirror_pair": _flip_mirror_pair,
+    "diagonal_one": _diagonal_one,
+    "bad_cell": _bad_cell,
+    "row_end_replaced": _row_end_replaced,
+    "stray_byte": lambda d, n, rng: _insert(
+        d, int(rng.integers(len(d) + 1)), bytes([rng.choice(list(b"x2 \t\r\x00\x0c"))])
+    ),
+    "crlf": lambda d, n, rng: d.replace(b"\n", b"\r\n"),
+    "missing_final_newline": lambda d, n, rng: d[:-1],
+    "trailing_row": lambda d, n, rng: d + d[-(n + 1) :],
+    "comment_between_rows": lambda d, n, rng: _insert(
+        d, int(rng.choice(_line_starts(d)[3:-1] or [len(d)])), b"# mid\n"
+    ),
+    "form_feed_in_comment": lambda d, n, rng: _comment_at(d, rng, b"# x\x0cgarbage\n"),
+    "nel_in_comment": lambda d, n, rng: _comment_at(d, rng, "# x\x85garbage\n".encode()),
+    "non_utf8_byte": lambda d, n, rng: _comment_at(d, rng, b"# caf\xe9\n"),
+}
+
+# Headers that a scan for b"\n" alone reads otherwise than the line loop:
+# the loop fails where such a scan would find a canonical file.
+HEADER_PARITY = {
+    "non_utf8_comment": b"# caf\xe9\nTFP v1\nn=2 vstar=0\n01\n00\n",
+    "form_feed_in_comment": b"TFP v1\n# x\x0cgarbage\nn=2 vstar=0\n01\n00\n",
+    # str.splitlines makes "10" the first row, whose diagonal cell is '1'
+    "form_feed_in_meta_line": b"TFP v1\nn=2 vstar=0\x0c10\n01\n00\n",
+}
+
+
+class TestCanonicalBytes:
+    @pytest.mark.parametrize("n", [1, 2, 4, 64, 256])
+    def test_canonical_file_takes_the_fast_path(self, n):
+        t = _random_tournament(n, np.random.default_rng(n))
+        data = format_tournament(t, comments=("made by a test",)).encode()
+        assert _parse_canonical(data) == t
+        assert parse_tournament(data) == parse_tournament(data.decode()) == t
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @pytest.mark.parametrize("n", [1, 2, 4, 64, 256])
+    def test_mutations_parse_as_the_line_loop(self, n, mutation):
+        rng = np.random.default_rng([n, list(MUTATIONS).index(mutation)])
+        for _ in range(4):
+            t = _random_tournament(n, rng)
+            comments = ("a comment",) if rng.random() < 0.5 else ()
+            data = format_tournament(t, comments).encode()
+            _assert_same_as_line_loop(MUTATIONS[mutation](data, n, rng))
+
+    @pytest.mark.parametrize("case", HEADER_PARITY)
+    def test_header_that_splits_differently_falls_back(self, case):
+        data = HEADER_PARITY[case]
+        assert _parse_canonical(data) is None
+        _assert_same_as_line_loop(data)
 
 
 class TestSeeding:
