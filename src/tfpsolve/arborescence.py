@@ -108,10 +108,16 @@ def seeding_to_lba(t: Tournament, s: Seeding) -> Lba:
 
 
 def lba_to_seeding(l: Lba) -> Seeding:
-    """Fold a spanning arborescence back into a seeding its root wins.
+    """Fold a spanning arborescence back into a seeding its root wins."""
+    return Seeding(tuple(_leaf_order(l)))
+
+
+def _leaf_order(l: Lba) -> list[int]:
+    """The players of ``l`` in the leaf order of a bracket its root wins.
 
     At every node the largest child subtree becomes the opposite half of the
     block, so the root meets that child's root in the block's last round.
+    The root comes first, and so does each sub-block's winner.
     """
     struct = _tree_structure(l)
     if struct is None or not _shape_ok(*struct, l.root):
@@ -120,7 +126,7 @@ def lba_to_seeding(l: Lba) -> Seeding:
     for u in children:
         children[u].sort(key=lambda c: sizes[c])
 
-    return Seeding(tuple(_fill(l.root, children[l.root], children)))
+    return _fill(l.root, children[l.root], children)
 
 
 def _fill(u: int, kids: list[int], children: dict[int, list[int]]) -> list[int]:

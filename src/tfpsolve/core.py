@@ -96,6 +96,14 @@ def _masks(a) -> tuple[int, ...]:
     return _ints(np.packbits(np.asarray(a, bool), axis=1, bitorder="little"))
 
 
+def _players(mask: int):
+    """The players in a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Tournament:
     """Complete orientation of all player pairs, with a designated favorite.
@@ -160,17 +168,22 @@ class Tournament:
     @cached_property
     def in_neighbors(self) -> frozenset[int]:
         """Players that beat the favorite."""
-        return frozenset(u for u in self.players if self.beats(u, self.vstar))
+        return frozenset(_players(self.in_masks[self.vstar]))
 
     @cached_property
     def out_neighbors(self) -> frozenset[int]:
         """Players the favorite beats."""
-        return frozenset(u for u in self.players if self.beats(self.vstar, u))
+        return frozenset(_players(self.out_masks[self.vstar]))
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        """Row ``v`` is the bitmask of the players that beat ``v``."""
-        return _masks(_bits(self.out_masks, self.n).T)
+        """Row ``v`` is the bitmask of the players that beat ``v``.
+
+        Every pair is oriented exactly once, so those are the players
+        other than ``v`` that ``v`` does not beat.
+        """
+        full = (1 << self.n) - 1
+        return tuple(full ^ (row | 1 << v) for v, row in enumerate(self.out_masks))
 
     @property
     def k(self) -> int:

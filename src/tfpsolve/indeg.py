@@ -14,11 +14,13 @@ A seeding that crowns the favorite survives in three regimes:
   docstring carries the proof); k >= 3 in this regime is out of reach.
   YES answers carry a verified seeding, and every NO is exact.
 
-``complete_wwf`` then grows the witness forest into a spanning bracket
-tree: leftover players are chunked into blocks of 2**k, each block gets
-an arbitrary internal bracket, and trees are merged pairwise.  Every
-merge root lies outside the favorite's in-set, so the favorite's own
-tree keeps winning merges and ends up spanning the field.
+``complete_wwf`` then grows the witness forest into a winning seeding.
+The leaf order is a concatenation: each witness tree's leaf order, then
+the leftover players in ascending order, which chunk into blocks of 2**k.
+One bracket pass over that order puts each match winner's half on the
+left.  The favorite wins one block, and every other block winner lies
+outside its in-set, so the favorite wins every later match and comes
+first.
 
 ``solve`` is the one solver entry point, shared by the command line and
 the tests; ``pick`` resolves ``auto``.  Before any work, one
@@ -34,8 +36,8 @@ from __future__ import annotations
 
 import itertools
 
-from .arborescence import Lba, arbitrary_lba, is_lba, lba_to_seeding, merge_lbas
-from .core import Seeding, Tournament, champion_of
+from .arborescence import Lba, _leaf_order, arbitrary_lba, lba_to_seeding
+from .core import Seeding, Tournament, _players, champion_of
 from .embed import EXACT_MAX_N, solve_exact
 from .oracles import Wwf, brute_force_decide, is_wwf
 
@@ -52,14 +54,6 @@ ALGOS = ("auto", "brute", "exact", "outdeg", "indeg")
 
 def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _players(mask: int):
-    """The players in a bitmask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _apart(xs: int, ys: int) -> tuple[int, int] | None:
@@ -165,48 +159,44 @@ def find_wwf(t: Tournament) -> Wwf | None:
     return wwf
 
 
-def _assert_mergeable(t: Tournament, trees: list[Lba]) -> None:
-    roots = [tree.root for tree in trees]
-    if len(trees) % 2:
-        raise AssertionError("tree count must halve cleanly")
-    if any(r in t.in_neighbors for r in roots):
-        raise AssertionError("a merge root fell inside the favorite's in-set")
-    if sum(r == t.vstar for r in roots) != 1:
-        raise AssertionError("the favorite must root exactly one tree")
+def _round(t: Tournament, blocks: list[list[int]]) -> list[list[int]]:
+    """One bracket round over equal-size blocks, each led by its winner:
+    adjacent blocks meet, and the winner's block goes on the left."""
+    return [a + b if t.beats(a[0], b[0]) else b + a for a, b in zip(blocks[::2], blocks[1::2])]
 
 
-def complete_wwf(t: Tournament, wwf: Wwf) -> Lba:
-    """Grow a witness forest into a spanning bracket tree rooted at the
-    favorite.
+def complete_wwf(t: Tournament, wwf: Wwf) -> Seeding:
+    """Grow a witness forest into a seeding the favorite wins.
 
     Leftover players (none of whom beat the favorite, since the forest
     swallowed the whole in-set) are chunked in ascending order into blocks of
-    the forest's tree size, bracketed arbitrarily, and merged pairwise in
-    list order until one tree remains.
+    the forest's tree size and bracketed in that order.  Each witness tree
+    keeps its own leaf order, root first.  The blocks then meet in list
+    order, each match winner's block going left, so the seeding is the
+    ``lba_to_seeding`` fold of the spanning bracket tree those matches build.
     """
-    size = 1 << t.k
-    covered: set[int] = set()
+    covered = 0
     for tree in wwf.trees:
-        if not covered.isdisjoint(tree.vertices):
+        mask = sum(1 << v for v in tree.vertices)
+        if covered & mask:
             raise AssertionError("witness trees overlap")
-        covered |= tree.vertices
-    rest = sorted(set(t.players) - covered)
-    if len(covered) != len(wwf.trees) * size:
+        covered |= mask
+    if covered.bit_count() != len(wwf.trees) << t.k:
         raise AssertionError("witness trees have a wrong size")
-    trees = list(wwf.trees)
-    for lo in range(0, len(rest), size):
-        trees.append(arbitrary_lba(t, rest[lo : lo + size]))
-    while len(trees) > 1:
-        _assert_mergeable(t, trees)
-        trees = [merge_lbas(t, trees[i], trees[i + 1]) for i in range(0, len(trees), 2)]
-    final = trees[0]
-    if final.root != t.vstar:
+    blocks = [[v] for v in _players(((1 << t.n) - 1) & ~covered)]
+    for _ in range(t.k):
+        blocks = _round(t, blocks)
+    blocks = [_leaf_order(tree) for tree in wwf.trees] + blocks
+    heads = [block[0] for block in blocks]
+    if not t.in_neighbors.isdisjoint(heads):
+        raise AssertionError("a merge root fell inside the favorite's in-set")
+    if heads.count(t.vstar) != 1:
+        raise AssertionError("the favorite must root exactly one tree")
+    while len(blocks) > 1:
+        blocks = _round(t, blocks)
+    if blocks[0][0] != t.vstar:
         raise AssertionError("completion lost the favorite")
-    if final.vertices != set(t.players):
-        raise AssertionError("completion does not span the field")
-    if not is_lba(t, final):
-        raise AssertionError("completion is not a valid bracket tree")
-    return final
+    return Seeding(tuple(blocks[0]))
 
 
 def _verify(t: Tournament, s: Seeding) -> None:
@@ -270,7 +260,7 @@ def solve(t: Tournament, algo: str = "auto") -> Seeding | None:
         s = None if lba is None else lba_to_seeding(lba)
     else:
         wwf = find_wwf(t)
-        s = None if wwf is None else lba_to_seeding(complete_wwf(t, wwf))
+        s = None if wwf is None else complete_wwf(t, wwf)
     if s is not None:
         _verify(t, s)
     return s

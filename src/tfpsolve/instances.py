@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arborescence import Lba, lba_to_seeding
 from .core import _BLOCK, Seeding, Tournament, _masks, champion_of
 
 __all__ = ["gen_random", "gen_planted_yes"]
@@ -90,8 +89,10 @@ def gen_planted_yes(n: int, k: int, seed: int = 0) -> tuple[Tournament, Seeding]
             a[w, l], a[l, w] = True, False
     _set_favorite(a, ins)
     t = Tournament(n=n, vstar=0, out_masks=_masks(a))
-    planted = Lba(root=0, parent={label[i]: label[i & (i - 1)] for i in range(1, n)})
-    s = lba_to_seeding(planted)
+    # Node i hangs off i & (i - 1), so node p's subtree is the index range
+    # p .. p + (p & -p) - 1 (all of it for p = 0), and ``lba_to_seeding``
+    # folds the tree into index order: the winning seeding is ``label``.
+    s = Seeding(tuple(label))
     if champion_of(t, s.leaf_order) != 0:
         raise AssertionError("planting failed")
     return t, s

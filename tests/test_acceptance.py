@@ -100,10 +100,12 @@ def test_criterion_4_wwf_equivalence_n16():
         w = brute_force_wwf(t)
         assert (w is not None) == (solve_exact(t) is not None)
         if w is not None:
-            full = complete_wwf(t, w)
+            s = complete_wwf(t, w)
+            full = seeding_to_lba(t, s)
             assert full.root == t.vstar
             assert full.vertices == frozenset(t.players)
             assert is_lba(t, full)
+            assert lba_to_seeding(full) == s
     _report(4, "wwf equivalence n=16", time.perf_counter() - start, 300.0)
 
 

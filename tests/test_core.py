@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from conftest import T4_YES_TEXT, tournaments
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfpsolve import (
     KnockoutTrace,
@@ -19,7 +20,7 @@ from tfpsolve import (
     simulate,
     validate_match_sequence,
 )
-from tfpsolve.core import _parse_canonical, _parse_lines
+from tfpsolve.core import _bits, _masks, _parse_canonical, _parse_lines
 
 
 class TestTournament:
@@ -105,6 +106,17 @@ class TestTournament:
         assert got.k == 0 and got.ell == 127
         with pytest.raises(ValueError, match=r"^row 5 has bits outside the player range$"):
             Tournament(n=128, vstar=0, out_masks=mixed[:5] + (np.int64(-1),) + mixed[6:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_neighbor_sets_match_the_table(self, rounds, seed, data):
+        n = 1 << rounds
+        upper = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
+        vstar = data.draw(st.integers(0, n - 1))
+        t = Tournament.from_matrix(upper | np.tril(~upper.T, -1), vstar)
+        assert t.in_masks == _masks(_bits(t.out_masks, n).T)
+        assert t.in_neighbors == {u for u in t.players if t.beats(u, vstar)}
+        assert t.out_neighbors == {u for u in t.players if t.beats(vstar, u)}
 
 
 _H4 = "TFP v1\nn=4 vstar=0\n"

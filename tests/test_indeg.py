@@ -16,6 +16,7 @@ import tfpsolve
 from tfpsolve import (
     Lba,
     Seeding,
+    arbitrary_lba,
     Tournament,
     Wwf,
     brute_force_decide,
@@ -27,7 +28,10 @@ from tfpsolve import (
     gen_random,
     is_lba,
     is_wwf,
+    lba_to_seeding,
+    merge_lbas,
     pick,
+    seeding_to_lba,
     solve,
     solve_exact,
 )
@@ -298,15 +302,38 @@ class TestFindWwf:
             find_wwf(gen_random(32, 3, seed=0))  # k = 3
 
 
+def merge_chain(t: Tournament, wwf: Wwf) -> Seeding:
+    """Reference for ``complete_wwf``: bracket the leftover players in
+    ascending blocks, merge the trees pairwise by playing root against root,
+    and fold the spanning tree into a seeding."""
+    size = 1 << t.k
+    covered = set().union(*(tree.vertices for tree in wwf.trees))
+    rest = sorted(set(t.players) - covered)
+    trees = list(wwf.trees)
+    trees += [arbitrary_lba(t, rest[lo : lo + size]) for lo in range(0, len(rest), size)]
+    while len(trees) > 1:
+        trees = [merge_lbas(t, a, b) for a, b in zip(trees[::2], trees[1::2])]
+    return lba_to_seeding(trees[0])
+
+
 class TestCompleteWwf:
     def test_reference_completion(self, t4_yes):
         w = Wwf(trees=(Lba(root=1, parent={2: 1}),))
-        full = complete_wwf(t4_yes, w)
-        assert full.root == 0 and is_lba(t4_yes, full)
-        assert full.vertices == {0, 1, 2, 3}
-        from tfpsolve import lba_to_seeding
+        assert complete_wwf(t4_yes, w) == Seeding((0, 3, 1, 2))
 
-        assert lba_to_seeding(full) == Seeding((0, 3, 1, 2))
+    @pytest.mark.parametrize("n", [8, 32, 128, 512])
+    def test_matches_merge_chain(self, n):
+        checked = 0
+        for k in (0, 1, 2):
+            if k << k >= n:
+                continue
+            for seed in range(3):
+                t, _ = gen_planted_yes(n, k, seed=n + 10 * k + seed)
+                w = Wwf(trees=()) if k == 0 else find_wwf(t)
+                assert w is not None, (k, seed)
+                assert complete_wwf(t, w) == merge_chain(t, w), (k, seed)
+                checked += 1
+        assert checked == (6 if n == 8 else 9)
 
     def test_rejects_forest_rooted_in_conqueror(self, t4_yes):
         bad = Wwf(trees=(Lba(root=2, parent={1: 2}),))  # 2 beats 0
@@ -319,10 +346,16 @@ class TestCompleteWwf:
             "from tfpsolve import Lba, Seeding, Wwf, complete_wwf, extract_local_lba\n"
             "from tfpsolve import gen_random, parse_tournament, seeding_to_lba\n"
             f"t = parse_tournament({T4_YES_TEXT!r})\n"
-            "try:\n"
-            "    complete_wwf(t, Wwf(trees=(Lba(root=2, parent={1: 2}),)))\n"
-            "except AssertionError as exc:\n"
-            "    print(exc)\n"
+            "for trees in [\n"
+            "    (Lba(root=1, parent={2: 1}), Lba(root=3, parent={2: 3})),\n"
+            "    (Lba(root=1, parent={2: 1, 3: 1}),),\n"
+            "    (Lba(root=2, parent={1: 2}),),\n"
+            "    (Lba(root=1, parent={2: 1}), Lba(root=3, parent={0: 3})),\n"
+            "]:\n"
+            "    try:\n"
+            "        complete_wwf(t, Wwf(trees=trees))\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
             "t = gen_random(8, 1, seed=0)\n"
             "try:\n"
             "    extract_local_lba(t, seeding_to_lba(t, Seeding(tuple(range(8)))), 6)\n"
@@ -335,14 +368,19 @@ class TestCompleteWwf:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout == (
+            "witness trees overlap\n"
+            "witness trees have a wrong size\n"
             "a merge root fell inside the favorite's in-set\n"
+            "the favorite must root exactly one tree\n"
             "carving from a non-nice bracket\n"
         )
 
     def test_empty_forest_spans_k0_instance(self):
         t = gen_random(8, 0, seed=3)
-        full = complete_wwf(t, Wwf(trees=()))
-        assert full.root == 0 and full.vertices == set(range(8))
+        s = complete_wwf(t, Wwf(trees=()))
+        full = seeding_to_lba(t, s)
+        assert full.root == 0 and full.vertices == set(range(8)) and is_lba(t, full)
+        assert lba_to_seeding(full) == s
 
 
 class TestSolveIndeg:
@@ -401,6 +439,7 @@ class TestSolveGate:
         losing = Seeding((0, 2, 1, 3))
         assert champion_of(t4_yes, losing.leaf_order) != 0
         monkeypatch.setattr(tfpsolve.indeg, "lba_to_seeding", lambda lba: losing)
+        monkeypatch.setattr(tfpsolve.indeg, "complete_wwf", lambda t, wwf: losing)
         monkeypatch.setattr(tfpsolve.indeg, "brute_force_decide", lambda t: losing)
         with pytest.raises(AssertionError, match="does not crown the favorite"):
             solve(t4_yes, algo)

@@ -1,13 +1,16 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from tfpsolve import (
+    Lba,
     Seeding,
     champion_of,
     format_tournament,
     gen_planted_yes,
     gen_random,
+    lba_to_seeding,
     niceness,
     parse_tournament,
     simulate,
@@ -68,6 +71,16 @@ def test_gen_planted_pinned_text(nks):
     t, s = gen_planted_yes(n, k, seed=seed)
     got = (_sha256(format_tournament(t)), _sha256(" ".join(map(str, s.leaf_order))))
     assert got == PLANTED_PINS[nks]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 64, 2048])
+def test_planted_witness_is_folded_tree(n):
+    # the planted tree over the generator's first draw, folded by lba_to_seeding
+    rng = np.random.default_rng(n)
+    label = [0] + [int(x) for x in rng.permutation(n - 1) + 1]
+    planted = Lba(root=0, parent={label[i]: label[i & (i - 1)] for i in range(1, n)})
+    _, s = gen_planted_yes(n, 0 if n < 4 else 1, seed=n)
+    assert s == lba_to_seeding(planted)
 
 
 def test_planted_round_trip_at_scale():
