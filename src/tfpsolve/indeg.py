@@ -94,6 +94,8 @@ def _find(t: Tournament, in_masks: tuple[int, ...], W: tuple[int, ...], X: int) 
             rdom &= in_masks[pin[p]]
         if "c" in pin:  # b beats c
             bdom &= in_masks[pin["c"]]
+        if not bdom:  # no root has a b: skip the scan over the roots
+            continue
         for r in _players(rdom):
             for b in _players(bdom & out[r]):
                 got = _apart(dom["a"] & out[r] & ~(1 << b), dom["c"] & out[b])

@@ -164,6 +164,25 @@ class TestPatternAndHost:
         assert _find(t4_yes, in_masks, (2,), 0b0010) == Lba(root=3, parent={2: 3})
         assert _find(t4_yes, in_masks, (2,), 0b1010) is None
 
+    def test_unbeaten_conqueror_has_no_tree(self):
+        # a conqueror that beats everyone has no parent in any placement, so
+        # every call misses, with or without the other conqueror in W
+        for seed in range(2):
+            t = gen_random(8, 2, seed=seed)
+            a = _bits(t.out_masks, 8).copy()
+            us = sorted(t.in_neighbors)
+            c = us[seed % 2]
+            for v in t.players:
+                if v != c:
+                    _orient(a, c, v)
+            t = Tournament.from_matrix(a, t.vstar)
+            for W in ((c,), tuple(us)):
+                for X in range(0, 256, 5):
+                    if any(X >> w & 1 for w in W):
+                        continue
+                    assert _find(t, t.in_masks, W, X) is None, (seed, W, X)
+                    assert not brute_find(t, W, X), (seed, W, X)
+
     def test_host_drops_only_arcs_into_favorite(self):
         rng = np.random.default_rng(8)
         found = missed = 0
