@@ -152,7 +152,8 @@ def arbitrary_lba(t: Tournament, x: Iterable[int]) -> Lba:
 
 
 def merge_lbas(t: Tournament, a: Lba, b: Lba) -> Lba:
-    """Join two disjoint equal-size arborescences by playing root against root."""
+    """Join two disjoint equal-size arborescences by playing root against root:
+    the independent reference that the tests check ``complete_wwf`` against."""
     if a.size != b.size:
         raise ValueError("can only merge arborescences of equal size")
     if a.vertices & b.vertices:

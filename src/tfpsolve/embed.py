@@ -8,7 +8,8 @@ a split with half-winners a and b are ``(a & beats_some[b]) | (b &
 beats_some[a])``: one table lookup per split, and one vectorized pass per
 bracket size fills the table.  Both tables hold one ``uint16`` word per
 player set, one bit per player, which is exact up to ``EXACT_MAX_N`` = 16
-players and keeps the spanning-arborescence search at 2**n words.
+players and keeps each table at 2**n words.  ``solve_exact`` reads a
+winning seeding back off the table, one split per bracket, winner first.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arborescence import Lba
-from .core import Tournament
+from .core import Seeding, Tournament
 
 __all__ = [
     "solve_exact",
@@ -73,15 +73,13 @@ def _winners_table(t: Tournament) -> np.ndarray:
     return winners
 
 
-def _extract_arborescence(
-    t: Tournament, winners: np.ndarray, root: int, mask: int, parent: dict[int, int]
-) -> None:
+def _winning_order(t: Tournament, winners: np.ndarray, root: int, mask: int) -> list[int]:
+    """Leaf order of a bracket on the player set ``mask`` that ``root`` wins,
+    root first: ``root``'s half, then the half of the player it beats last."""
     if mask == 1 << root:
-        return
-    bits = [b for b in range(t.n) if mask >> b & 1]
-    half = len(bits) // 2
-    others = [b for b in bits if b != root]
-    for sub_bits in itertools.combinations(others, half - 1):
+        return [root]
+    others = [b for b in range(t.n) if mask >> b & 1 and b != root]
+    for sub_bits in itertools.combinations(others, len(others) // 2):
         sub = (1 << root) + sum(1 << b for b in sub_bits)
         rest = mask ^ sub
         if not int(winners[sub]) >> root & 1:
@@ -90,15 +88,12 @@ def _extract_arborescence(
         if not cand:
             continue
         v = (cand & -cand).bit_length() - 1
-        parent[v] = root
-        _extract_arborescence(t, winners, root, sub, parent)
-        _extract_arborescence(t, winners, v, rest, parent)
-        return
+        return _winning_order(t, winners, root, sub) + _winning_order(t, winners, v, rest)
     raise AssertionError("winners table admits no split; table is inconsistent")
 
 
-def solve_exact(t: Tournament) -> Lba | None:
-    """Spanning arborescence rooted at the favorite, or None if none exists.
+def solve_exact(t: Tournament) -> Seeding | None:
+    """A seeding the favorite wins, or None if none exists.
 
     Reads one spanning bracket off the winners table (see the module
     docstring).  Guarded at ``EXACT_MAX_N`` players since the table has 2**n
@@ -106,12 +101,8 @@ def solve_exact(t: Tournament) -> Lba | None:
     """
     if t.n > EXACT_MAX_N:
         raise ValueError(f"exact solver is capped at {EXACT_MAX_N} players, got n={t.n}")
-    if t.n == 1:
-        return Lba(root=t.vstar, parent={})
     winners = _winners_table(t)
     full = (1 << t.n) - 1
     if not int(winners[full]) >> t.vstar & 1:
         return None
-    parent: dict[int, int] = {}
-    _extract_arborescence(t, winners, t.vstar, full, parent)
-    return Lba(root=t.vstar, parent=parent)
+    return Seeding(tuple(_winning_order(t, winners, t.vstar, full)))

@@ -6,12 +6,12 @@ A seeding that crowns the favorite survives in three regimes:
 * k == 0: the favorite beats everyone, so any seeding works.
 * k * 2**k >= n: the instance is small in the parameter; solve exactly.
 * otherwise: a seeding exists iff the tournament contains a *witness
-  forest* -- k vertex-disjoint arborescences, each on exactly 2**k
-  vertices and shaped like a bracket, whose roots all avoid the
-  favorite's in-set, which jointly swallow every in-neighbor, and in
-  which the favorite appears only as the root of one tree.  ``find_wwf``
-  finds one by a deterministic bounded search, exact for k <= 2 (its
-  docstring carries the proof); k >= 3 in this regime is out of reach.
+  forest* -- at most k disjoint bracket trees on 2**k players each, whose
+  roots all avoid the favorite's in-set, which jointly swallow every
+  in-neighbor, and in which the favorite appears only as a root.  Each
+  tree is held as its leaf order: a bracket its root wins, root first.
+  ``find_wwf`` finds a forest by a deterministic bounded search, exact for
+  k <= 2 (its docstring carries the proof); k >= 3 here is out of reach.
   YES answers carry a verified seeding, and every NO is exact.
 
 ``complete_wwf`` then grows the witness forest into a winning seeding.
@@ -35,14 +35,13 @@ search.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
-from .arborescence import Lba, _leaf_order, arbitrary_lba, lba_to_seeding
 from .core import Seeding, Tournament, _players, champion_of
 from .embed import EXACT_MAX_N, solve_exact
-from .oracles import Wwf, brute_force_decide, is_wwf
+from .oracles import brute_force_decide
 
 __all__ = [
-    "Wwf",
     "find_wwf",
     "complete_wwf",
     "pick",
@@ -50,6 +49,7 @@ __all__ = [
 ]
 
 ALGOS = ("auto", "brute", "exact", "outdeg", "indeg")
+Order = tuple[int, ...]  # a bracket tree as the leaf order its root wins, root first
 
 
 def _low(mask: int) -> int:
@@ -67,14 +67,14 @@ def _apart(xs: int, ys: int) -> tuple[int, int] | None:
     return y, _low(ys & ~(1 << y))
 
 
-def _find(t: Tournament, in_masks: tuple[int, ...], W: tuple[int, ...], X: int) -> Lba | None:
+def _find(t: Tournament, in_masks: tuple[int, ...], W: tuple[int, ...], X: int) -> Order | None:
     """One bracket tree on 2**k players, k <= 2, or None if there is none.
 
     The tree holds the conquerors in ``W`` as non-roots, avoids the players
     in the bitmask ``X``, has its root outside the favorite's in-set, and
     holds the favorite only as its root.  At k = 2 the tree is r -> a and
-    r -> b -> c.  Each placement of W on a, b and c is tried; r runs over
-    the allowed roots and b over r's allowed out-neighbors, after which a
+    r -> b -> c, played as (r, a, b, c).  Each placement of W on a, b and c
+    is tried; r runs over the allowed roots and b over r's allowed out-neighbors, after which a
     and c are any distinct picks from their candidate sets.  A call costs
     O(n**2) bitset operations.
     """
@@ -85,7 +85,7 @@ def _find(t: Tournament, in_masks: tuple[int, ...], W: tuple[int, ...], X: int) 
     if t.k == 1:
         (u,) = W
         r = roots & in_masks[u] if free >> u & 1 else 0
-        return Lba(root=_low(r), parent={u: _low(r)}) if r else None
+        return (_low(r), u) if r else None
     for places in itertools.permutations("abc", len(W)):
         pin = dict(zip(places, W))
         dom = {p: free & 1 << pin[p] if p in pin else kids for p in "abc"}
@@ -101,35 +101,34 @@ def _find(t: Tournament, in_masks: tuple[int, ...], W: tuple[int, ...], X: int) 
                 got = _apart(dom["a"] & out[r] & ~(1 << b), dom["c"] & out[b])
                 if got is not None:
                     a, c = got
-                    return Lba(root=r, parent={a: r, b: r, c: b})
+                    return r, a, b, c
     return None
 
 
 def _split(
     t: Tournament, in_masks: tuple[int, ...], u1: int, u2: int, X: int
-) -> tuple[Lba, Lba] | None:
+) -> tuple[Order, Order] | None:
     """The branch of ``find_wwf`` at avoid-set ``X``: disjoint trees for u1 and u2."""
     t1 = _find(t, in_masks, (u1,), X | 1 << u2)
     if t1 is None:
         return None
-    t2 = _find(t, in_masks, (u2,), sum(1 << v for v in t1.vertices))
+    t2 = _find(t, in_masks, (u2,), sum(1 << v for v in t1))
     if t2 is not None:
         return t1, t2
     if X.bit_count() < 3:
-        for v in sorted(t1.vertices - {u1}):
+        for v in sorted(set(t1) - {u1}):
             got = _split(t, in_masks, u1, u2, X | 1 << v)
             if got is not None:
                 return got
     return None
 
 
-def find_wwf(t: Tournament) -> Wwf | None:
+def find_wwf(t: Tournament) -> tuple[Order, ...] | None:
     """A witness forest, or None when none exists; for 1 <= k <= 2 and
     k*2**k < n, by at most 81 calls of ``_find``.
 
     k = 1: one call decides.  k = 2, with conquerors u1 < u2: a tree that
-    holds both leaves no conqueror for the second tree, so any 2**k leftover
-    players make it.  Otherwise, starting from X = {}, take
+    holds both is a forest by itself.  Otherwise, starting from X = {}, take
     T1 = find({u1}, X | {u2}) and T2 = find({u2}, T1).  When T2 misses,
     branch on each v in T1 - {u1} by adding v to X, down to |X| = 3.
 
@@ -149,56 +148,62 @@ def find_wwf(t: Tournament) -> Wwf | None:
     us = tuple(sorted(t.in_neighbors))
     whole = _find(t, t.in_masks, us, 0)
     if whole is not None:
-        rest = sorted(set(t.players) - whole.vertices)
-        trees = (whole,) if k == 1 else (whole, arbitrary_lba(t, rest[:4]))
+        trees = (whole,)
     else:
         trees = _split(t, t.in_masks, *us, 0) if k == 2 else None
         if trees is None:
             return None
-    wwf = Wwf(trees=trees)
-    if not is_wwf(t, wwf):
-        raise AssertionError("the forest search returned a forest that fails the witness checks")
-    return wwf
+    _covered(t, trees)
+    return trees
 
 
-def _round(t: Tournament, blocks: list[list[int]]) -> list[list[int]]:
+def _covered(t: Tournament, trees: Sequence[Sequence[int]]) -> int:
+    """The bitmask of the players in ``trees``; raises AssertionError unless
+    they form a witness forest (see the module docstring)."""
+    covered = 0
+    for order in trees:
+        mask = sum(1 << v for v in order)
+        if covered & mask:
+            raise AssertionError("witness trees overlap")
+        covered |= mask
+        if len(order) != 1 << t.k or mask.bit_count() != len(order):
+            raise AssertionError("witness trees have a wrong size")
+        if order[0] in t.in_neighbors:
+            raise AssertionError("a merge root fell inside the favorite's in-set")
+        if t.vstar in order[1:]:
+            raise AssertionError("the favorite must root exactly one tree")
+        if champion_of(t, order) != order[0]:
+            raise AssertionError("a witness tree does not crown its root")
+    if t.in_masks[t.vstar] & ~covered:
+        raise AssertionError("the witness trees miss a player that beats the favorite")
+    return covered
+
+
+def _round(t: Tournament, blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """One bracket round over equal-size blocks, each led by its winner:
     adjacent blocks meet, and the winner's block goes on the left."""
     return [a + b if t.beats(a[0], b[0]) else b + a for a, b in zip(blocks[::2], blocks[1::2])]
 
 
-def complete_wwf(t: Tournament, wwf: Wwf) -> Seeding:
+def complete_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> Seeding:
     """Grow a witness forest into a seeding the favorite wins.
 
     Leftover players (none of whom beat the favorite, since the forest
     swallowed the whole in-set) are chunked in ascending order into blocks of
-    the forest's tree size and bracketed in that order.  Each witness tree
-    keeps its own leaf order, root first.  The blocks then meet in list
-    order, each match winner's block going left, so the seeding is the
-    ``lba_to_seeding`` fold of the spanning bracket tree those matches build.
+    the forest's tree size and bracketed in that order.  The witness trees'
+    leaf orders go first, as given, and the blocks then meet in list order,
+    each match winner's block going left.
     """
-    covered = 0
-    for tree in wwf.trees:
-        mask = sum(1 << v for v in tree.vertices)
-        if covered & mask:
-            raise AssertionError("witness trees overlap")
-        covered |= mask
-    if covered.bit_count() != len(wwf.trees) << t.k:
-        raise AssertionError("witness trees have a wrong size")
-    blocks = [[v] for v in _players(((1 << t.n) - 1) & ~covered)]
+    covered = _covered(t, trees)
+    blocks = [(v,) for v in _players(((1 << t.n) - 1) & ~covered)]
     for _ in range(t.k):
         blocks = _round(t, blocks)
-    blocks = [_leaf_order(tree) for tree in wwf.trees] + blocks
-    heads = [block[0] for block in blocks]
-    if not t.in_neighbors.isdisjoint(heads):
-        raise AssertionError("a merge root fell inside the favorite's in-set")
-    if heads.count(t.vstar) != 1:
-        raise AssertionError("the favorite must root exactly one tree")
+    blocks = [tuple(order) for order in trees] + blocks
     while len(blocks) > 1:
         blocks = _round(t, blocks)
     if blocks[0][0] != t.vstar:
         raise AssertionError("completion lost the favorite")
-    return Seeding(tuple(blocks[0]))
+    return Seeding(blocks[0])
 
 
 def _verify(t: Tournament, s: Seeding) -> None:
@@ -258,11 +263,10 @@ def solve(t: Tournament, algo: str = "auto") -> Seeding | None:
     elif route == "identity":
         s = Seeding(tuple(range(t.n)))
     elif route == "exact":
-        lba = solve_exact(t)
-        s = None if lba is None else lba_to_seeding(lba)
+        s = solve_exact(t)
     else:
-        wwf = find_wwf(t)
-        s = None if wwf is None else complete_wwf(t, wwf)
+        trees = find_wwf(t)
+        s = None if trees is None else complete_wwf(t, trees)
     if s is not None:
         _verify(t, s)
     return s

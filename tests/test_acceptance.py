@@ -33,6 +33,7 @@ from tfpsolve import (
     solve,
     solve_exact,
 )
+from tfpsolve.arborescence import _leaf_order
 
 
 def _report(num: int, label: str, elapsed: float | None = None, budget: float | None = None) -> None:
@@ -59,10 +60,10 @@ def test_criterion_1_exhaustive_n4():
         bits = tuple((code >> b) & 1 for b in range(6))
         t = tournament_from_bits(4, 0, bits)
         expected = brute_force_decide(t) is not None
-        lba = solve_exact(t)
-        assert (lba is not None) == expected
-        if lba is not None:
-            assert champion_of(t, lba_to_seeding(lba).leaf_order) == 0
+        s = solve_exact(t)
+        assert (s is not None) == expected
+        if s is not None:
+            assert champion_of(t, s.leaf_order) == 0
         for algo in ("outdeg", "indeg"):
             s = solve(t, algo)
             assert (s is not None) == expected
@@ -74,10 +75,10 @@ def test_criterion_1_exhaustive_n4():
 def test_criterion_2_sampled_n8(n8_pool):
     pool, build = n8_pool
     start = time.perf_counter()
-    for t, lba in pool:
-        assert (brute_force_decide(t) is not None) == (lba is not None)
-        if lba is not None:
-            assert champion_of(t, lba_to_seeding(lba).leaf_order) == t.vstar
+    for t, s in pool:
+        assert (brute_force_decide(t) is not None) == (s is not None)
+        if s is not None:
+            assert champion_of(t, s.leaf_order) == t.vstar
     _report(2, "sampled n=8 exactness", build + time.perf_counter() - start, 60.0)
 
 
@@ -100,7 +101,7 @@ def test_criterion_4_wwf_equivalence_n16():
         w = brute_force_wwf(t)
         assert (w is not None) == (solve_exact(t) is not None)
         if w is not None:
-            s = complete_wwf(t, w)
+            s = complete_wwf(t, [_leaf_order(tree) for tree in w.trees])
             full = seeding_to_lba(t, s)
             assert full.root == t.vstar
             assert full.vertices == frozenset(t.players)
@@ -112,10 +113,10 @@ def test_criterion_4_wwf_equivalence_n16():
 def test_criterion_5_nice_repair_n8(n8_pool):
     pool, _ = n8_pool
     checked = 0
-    for t, lba in pool:
-        if lba is None:
+    for t, s in pool:
+        if s is None:
             continue
-        fixed, _rewrites = repair_to_nice(t, lba_to_seeding(lba))
+        fixed, _rewrites = repair_to_nice(t, s)
         trace = simulate(t, fixed)
         assert trace.champion == t.vstar
         assert niceness(t, trace).all_nice
@@ -136,10 +137,10 @@ def test_criterion_6_local_lba_n16():
         k = 1 + (seed % 3)
         t = gen_random(16, k, seed=seed)
         seed += 1
-        lba = solve_exact(t)
-        if lba is None:
+        s = solve_exact(t)
+        if s is None:
             continue
-        fixed, _ = repair_to_nice(t, lba_to_seeding(lba))
+        fixed, _ = repair_to_nice(t, s)
         full = seeding_to_lba(t, fixed)
         allowed = {t.vstar} | t.out_neighbors
         for b in sorted(t.in_neighbors):

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 
 from tfpsolve import (
     Lba,
+    Seeding,
     Tournament,
     brute_force_decide,
     gen_random,
     is_lba,
+    seeding_to_lba,
     solve_exact,
 )
 from tfpsolve.embed import EXACT_MAX_N, _split_levels, _winners_table
@@ -33,7 +35,9 @@ def bracket_winners(t: Tournament, players: tuple[int, ...]) -> int:
 
 class TestSolveExact:
     def test_reference_yes(self, t4_yes):
-        assert solve_exact(t4_yes) == Lba(root=0, parent={3: 0, 1: 0, 2: 3})
+        s = solve_exact(t4_yes)
+        assert s == Seeding((0, 1, 3, 2))
+        assert seeding_to_lba(t4_yes, s) == Lba(root=0, parent={3: 0, 1: 0, 2: 3})
 
     def test_reference_no(self, t4_no):
         assert solve_exact(t4_no) is None
@@ -74,11 +78,11 @@ class TestSolveExact:
 
     def test_single_player(self):
         t = Tournament(n=1, vstar=0, out_masks=(0,))
-        assert solve_exact(t) == Lba(root=0, parent={})
+        assert solve_exact(t) == Seeding((0,))
 
     def test_two_players(self):
         t = Tournament(n=2, vstar=0, out_masks=(2, 0))
-        assert solve_exact(t) == Lba(root=0, parent={1: 0})
+        assert solve_exact(t) == Seeding((0, 1))
         t = Tournament(n=2, vstar=0, out_masks=(0, 1))
         assert solve_exact(t) is None
 
@@ -89,10 +93,11 @@ class TestSolveExact:
     @settings(max_examples=60)
     @given(tournaments(max_rounds=2))
     def test_agrees_with_seeding_enumeration(self, t):
-        lba = solve_exact(t)
+        s = solve_exact(t)
         winning = brute_force_decide(t)
-        assert (lba is None) == (winning is None)
-        if lba is not None:
+        assert (s is None) == (winning is None)
+        if s is not None:
+            lba = seeding_to_lba(t, s)
             assert lba.root == t.vstar
             assert is_lba(t, lba)
             assert lba.vertices == set(range(t.n))

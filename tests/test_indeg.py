@@ -19,6 +19,7 @@ from tfpsolve import (
     arbitrary_lba,
     Tournament,
     Wwf,
+    bracket_lba,
     brute_force_decide,
     brute_force_wwf,
     champion_of,
@@ -130,25 +131,26 @@ class TestPatternAndHost:
             w = find_wwf(t)
             if w is not None:
                 (u,) = t.in_neighbors
-                (tree,) = w.trees
-                assert tree.parent == {u: tree.root}, i
+                ((r, x),) = w
+                assert x == u and t.beats(r, u), i
                 yes += 1
         assert 0 < yes < 20
 
     def test_pattern_k2(self):
         yes = 0
         for i in range(1, 40, 2):  # k = 2
-            w = find_wwf(sample(i))
+            t = sample(i)
+            w = find_wwf(t)
             if w is None:
                 continue
             yes += 1
-            assert len(w.trees) == 2
-            for tree in w.trees:
-                # r -> a and r -> b -> c: subtrees of sizes 1 and 2 under the root
-                kids = [x for x, p in tree.parent.items() if p == tree.root]
-                deep = [x for x, p in tree.parent.items() if p != tree.root]
-                assert tree.size == 4 and len(kids) == 2 and len(deep) == 1, i
-                assert tree.parent[deep[0]] in kids, i
+            # one tree holds both conquerors, or each has its own
+            assert len(w) in (1, 2), i
+            for tree in w:
+                # r -> a and r -> b -> c, played as the leaf order (r, a, b, c)
+                r, a, b, c = tree
+                assert len(set(tree)) == 4, i
+                assert t.beats(r, a) and t.beats(b, c) and t.beats(r, b), i
         assert 0 < yes < 20
 
     def test_pattern_rejects_k0(self):
@@ -160,8 +162,8 @@ class TestPatternAndHost:
         in_masks = t4_yes.in_masks
         assert in_masks == (4, 1, 10, 3)
         # conqueror 2 is beaten by 1 and 3, both outside the in-set {2}
-        assert _find(t4_yes, in_masks, (2,), 0) == Lba(root=1, parent={2: 1})
-        assert _find(t4_yes, in_masks, (2,), 0b0010) == Lba(root=3, parent={2: 3})
+        assert _find(t4_yes, in_masks, (2,), 0) == (1, 2)
+        assert _find(t4_yes, in_masks, (2,), 0b0010) == (3, 2)
         assert _find(t4_yes, in_masks, (2,), 0b1010) is None
 
     def test_unbeaten_conqueror_has_no_tree(self):
@@ -198,9 +200,10 @@ class TestPatternAndHost:
                 missed += 1
                 continue
             found += 1
-            assert is_lba(t, got) and got.size == 1 << k, i
-            assert t.vstar not in got.parent and set(W) <= got.parent.keys(), i
-            assert got.root not in t.in_neighbors and not X & sum(1 << v for v in got.vertices), i
+            tree = bracket_lba(t, got)
+            assert tree.root == got[0] and is_lba(t, tree) and tree.size == 1 << k, i
+            assert t.vstar not in tree.parent and set(W) <= tree.parent.keys(), i
+            assert tree.root not in t.in_neighbors and not X & sum(1 << v for v in tree.vertices), i
         assert 20 < found and 20 < missed
 
 
@@ -242,11 +245,23 @@ class TestBudget:
         _check_multiplier(argparse.Namespace(multiplier=20.0))
 
 
+def as_wwf(t: Tournament, trees: tuple[tuple[int, ...], ...]) -> Wwf:
+    """The oracle's view of a forest of leaf orders: each order's bracket
+    tree, padded to k trees with ascending brackets over the lowest
+    leftover players."""
+    size = 1 << t.k
+    lbas = [bracket_lba(t, order) for order in trees]
+    rest = sorted(set(t.players).difference(*trees))
+    lbas += [arbitrary_lba(t, rest[i * size : (i + 1) * size]) for i in range(t.k - len(lbas))]
+    return Wwf(trees=tuple(lbas))
+
+
 class TestFindWwf:
     def test_reference_forest(self, t4_yes):
         w = find_wwf(t4_yes)
-        assert w == Wwf(trees=(Lba(root=1, parent={2: 1}),))
-        assert is_wwf(t4_yes, w)
+        assert w == ((1, 2),)
+        wwf = as_wwf(t4_yes, w)
+        assert wwf == Wwf(trees=(Lba(root=1, parent={2: 1}),)) and is_wwf(t4_yes, wwf)
 
     def test_agrees_with_oracles(self):
         nos = 0
@@ -256,7 +271,9 @@ class TestFindWwf:
             expect = brute_force_wwf(t)
             assert (w is None) == (expect is None) == (solve_exact(t) is None), i
             if w is not None:
-                assert is_wwf(t, w), i
+                wwf = as_wwf(t, w)
+                assert [tree.root for tree in wwf.trees[: len(w)]] == [o[0] for o in w], i
+                assert is_wwf(t, wwf), i
             nos += w is None
         assert 10 < nos < 50  # both outcomes exercised
 
@@ -296,7 +313,7 @@ class TestFindWwf:
             if t.k == 1:
                 assert len(calls) == 1 and (w is None) == (calls[0] is None), i
             elif calls[0] is not None:
-                assert len(calls) == 1 and w.trees[0] == calls[0], i
+                assert len(calls) == 1 and w == (calls[0],), i
                 shared += 1
             else:
                 assert len(calls) > 1, i
@@ -321,14 +338,14 @@ class TestFindWwf:
             find_wwf(gen_random(32, 3, seed=0))  # k = 3
 
 
-def merge_chain(t: Tournament, wwf: Wwf) -> Seeding:
+def merge_chain(t: Tournament, forest: list[Lba]) -> Seeding:
     """Reference for ``complete_wwf``: bracket the leftover players in
     ascending blocks, merge the trees pairwise by playing root against root,
     and fold the spanning tree into a seeding."""
     size = 1 << t.k
-    covered = set().union(*(tree.vertices for tree in wwf.trees))
+    covered = set().union(*(tree.vertices for tree in forest))
     rest = sorted(set(t.players) - covered)
-    trees = list(wwf.trees)
+    trees = list(forest)
     trees += [arbitrary_lba(t, rest[lo : lo + size]) for lo in range(0, len(rest), size)]
     while len(trees) > 1:
         trees = [merge_lbas(t, a, b) for a, b in zip(trees[::2], trees[1::2])]
@@ -337,8 +354,7 @@ def merge_chain(t: Tournament, wwf: Wwf) -> Seeding:
 
 class TestCompleteWwf:
     def test_reference_completion(self, t4_yes):
-        w = Wwf(trees=(Lba(root=1, parent={2: 1}),))
-        assert complete_wwf(t4_yes, w) == Seeding((0, 3, 1, 2))
+        assert complete_wwf(t4_yes, [(1, 2)]) == Seeding((0, 3, 1, 2))
 
     @pytest.mark.parametrize("n", [8, 32, 128, 512])
     def test_matches_merge_chain(self, n):
@@ -348,31 +364,38 @@ class TestCompleteWwf:
                 continue
             for seed in range(3):
                 t, _ = gen_planted_yes(n, k, seed=n + 10 * k + seed)
-                w = Wwf(trees=()) if k == 0 else find_wwf(t)
+                w = () if k == 0 else find_wwf(t)
                 assert w is not None, (k, seed)
-                assert complete_wwf(t, w) == merge_chain(t, w), (k, seed)
+                forest = [bracket_lba(t, order) for order in w]
+                assert complete_wwf(t, w) == merge_chain(t, forest), (k, seed)
                 checked += 1
         assert checked == (6 if n == 8 else 9)
 
     def test_rejects_forest_rooted_in_conqueror(self, t4_yes):
-        bad = Wwf(trees=(Lba(root=2, parent={1: 2}),))  # 2 beats 0
+        bad = [(2, 1)]  # 2 beats 0
         with pytest.raises(AssertionError):
             complete_wwf(t4_yes, bad)
+
+    @pytest.mark.parametrize(
+        ("trees", "message"),
+        [
+            ([(3, 1)], "a witness tree does not crown its root"),  # 1 beats 3
+            ([], "the witness trees miss a player that beats the favorite"),
+        ],
+    )
+    def test_rejects_forest_that_is_no_witness(self, t4_yes, trees, message):
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            complete_wwf(t4_yes, trees)
 
     def test_guard_survives_optimize_flag(self):
         # the forest guards raise explicitly, so `python -O` keeps them
         script = (
-            "from tfpsolve import Lba, Seeding, Wwf, complete_wwf, extract_local_lba\n"
+            "from tfpsolve import Seeding, complete_wwf, extract_local_lba\n"
             "from tfpsolve import gen_random, parse_tournament, seeding_to_lba\n"
             f"t = parse_tournament({T4_YES_TEXT!r})\n"
-            "for trees in [\n"
-            "    (Lba(root=1, parent={2: 1}), Lba(root=3, parent={2: 3})),\n"
-            "    (Lba(root=1, parent={2: 1, 3: 1}),),\n"
-            "    (Lba(root=2, parent={1: 2}),),\n"
-            "    (Lba(root=1, parent={2: 1}), Lba(root=3, parent={0: 3})),\n"
-            "]:\n"
+            "for trees in [((1, 2), (3, 2)), ((1, 2, 3),), ((2, 1),), ((1, 2), (3, 0))]:\n"
             "    try:\n"
-            "        complete_wwf(t, Wwf(trees=trees))\n"
+            "        complete_wwf(t, trees)\n"
             "    except AssertionError as exc:\n"
             "        print(exc)\n"
             "t = gen_random(8, 1, seed=0)\n"
@@ -396,7 +419,7 @@ class TestCompleteWwf:
 
     def test_empty_forest_spans_k0_instance(self):
         t = gen_random(8, 0, seed=3)
-        s = complete_wwf(t, Wwf(trees=()))
+        s = complete_wwf(t, ())
         full = seeding_to_lba(t, s)
         assert full.root == 0 and full.vertices == set(range(8)) and is_lba(t, full)
         assert lba_to_seeding(full) == s
@@ -457,8 +480,8 @@ class TestSolveGate:
 
         losing = Seeding((0, 2, 1, 3))
         assert champion_of(t4_yes, losing.leaf_order) != 0
-        monkeypatch.setattr(tfpsolve.indeg, "lba_to_seeding", lambda lba: losing)
-        monkeypatch.setattr(tfpsolve.indeg, "complete_wwf", lambda t, wwf: losing)
+        monkeypatch.setattr(tfpsolve.indeg, "solve_exact", lambda t: losing)
+        monkeypatch.setattr(tfpsolve.indeg, "complete_wwf", lambda t, trees: losing)
         monkeypatch.setattr(tfpsolve.indeg, "brute_force_decide", lambda t: losing)
         with pytest.raises(AssertionError, match="does not crown the favorite"):
             solve(t4_yes, algo)

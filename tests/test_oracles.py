@@ -100,12 +100,9 @@ class TestRepair:
     @settings(max_examples=60, deadline=None)
     @given(tournaments(max_rounds=3))
     def test_repair_fixes_any_winning_seeding(self, t):
-        lba = solve_exact(t)
-        if lba is None:
+        s = solve_exact(t)
+        if s is None:
             return
-        from tfpsolve import lba_to_seeding
-
-        s = lba_to_seeding(lba)
         fixed, rewrites = repair_to_nice(t, s)
         assert champion_of(t, fixed.leaf_order) == t.vstar
         assert niceness(t, simulate(t, fixed)).all_nice
