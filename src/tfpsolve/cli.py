@@ -5,8 +5,8 @@ trace), ``gen`` (write a generated instance, plus a .witness sidecar when
 planted), ``verify-seeding`` (replay a seeding), ``check-structure``
 (niceness report and repair), ``bench`` (wall-clock table; timings are the
 one output that is not reproducible byte-for-byte).  ``decide``, ``solve``
-and ``bench`` call ``indeg.solve``; an instance its feasibility gate rejects
-exits 2 with the one limit that failed.
+and ``bench`` call ``indeg.solve``; an instance past the limit of the solver
+it routes to exits 2 with that one limit.
 
 Exit codes: 0 the favorite can win / the command succeeded, 1 it cannot /
 the seeding loses, 2 any error.  Output for a fixed file and algorithm is

@@ -187,13 +187,13 @@ class Tournament:
 
     @property
     def k(self) -> int:
-        """In-degree of the favorite."""
-        return len(self.in_neighbors)
+        """In-degree of the favorite: every pair is oriented exactly once."""
+        return self.n - 1 - self.ell
 
     @property
     def ell(self) -> int:
         """Out-degree of the favorite."""
-        return len(self.out_neighbors)
+        return self.out_masks[self.vstar].bit_count()
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,22 @@ outside its in-set, so the favorite wins every later match and comes
 first.
 
 ``solve`` is the one solver entry point, shared by the command line and
-the tests; ``pick`` resolves ``auto``.  Before any work, one
-feasibility gate (``_route``) chooses the route and raises a single
-ValueError naming the limit that fails.  Except for the ``brute`` oracle,
-which runs unfiltered, the degree certificate comes first: a favorite that
-beats fewer than log2(n) players cannot win log2(n) matches, so the answer
-is NO.  Otherwise n <= 2**ell, and the out-degree parameterization is exact
-search.
+the tests; ``pick`` resolves ``auto``.  ``solve`` routes by the favorite's
+out-degree ell and in-degree k, both read off its bitmask row.  Except for
+the ``brute`` oracle, which runs unfiltered, the degree certificate comes
+first: a favorite that beats fewer than log2(n) players cannot win log2(n)
+matches, so the answer is NO.  Otherwise n <= 2**ell, and the out-degree
+parameterization is exact search; ``indeg`` takes the witness-forest search
+instead when k*2**k < n.  Each solver checks its own limit on entry, before
+any work, and raises one ValueError naming it.  The limits are n <=
+``EXACT_MAX_N`` for ``solve_exact``, k <= 2 for ``find_wwf``, and n <= 8
+for the ``brute`` oracle's seeding enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Sequence
 
 from .core import Seeding, Tournament, _players, champion_of
@@ -80,7 +84,7 @@ def _find(t: Tournament, in_masks: tuple[int, ...], W: tuple[int, ...], X: int) 
     """
     out = t.out_masks
     free = ((1 << t.n) - 1) & ~X
-    roots = free & ~sum(1 << u for u in t.in_neighbors)
+    roots = free & ~t.in_masks[t.vstar]
     kids = free & ~(1 << t.vstar) & ~sum(1 << w for w in W)
     if t.k == 1:
         (u,) = W
@@ -142,10 +146,12 @@ def find_wwf(t: Tournament) -> tuple[Order, ...] | None:
     one exists.  Calls: one for the shared tree, then two on each of the
     1 + 3 + 9 + 27 = 40 branch nodes, 81 in all.
     """
-    k, n = t.k, t.n
-    if not 1 <= k <= 2 or k << k >= n:
+    k = t.k
+    if k > 2:
+        raise ValueError(f"the witness-forest search covers k <= 2, got k={k}")
+    if k < 1 or k << k >= t.n:
         raise ValueError("witness-forest search applies when 1 <= k <= 2 and k*2**k < n")
-    us = tuple(sorted(t.in_neighbors))
+    us = tuple(_players(t.in_masks[t.vstar]))
     whole = _find(t, t.in_masks, us, 0)
     if whole is not None:
         trees = (whole,)
@@ -160,21 +166,22 @@ def find_wwf(t: Tournament) -> tuple[Order, ...] | None:
 def _covered(t: Tournament, trees: Sequence[Sequence[int]]) -> int:
     """The bitmask of the players in ``trees``; raises AssertionError unless
     they form a witness forest (see the module docstring)."""
-    covered = 0
+    ins, covered = t.in_masks[t.vstar], 0
     for order in trees:
+        order = tuple(map(operator.index, order))  # numpy ids overflow the shifts
         mask = sum(1 << v for v in order)
         if covered & mask:
             raise AssertionError("witness trees overlap")
         covered |= mask
         if len(order) != 1 << t.k or mask.bit_count() != len(order):
             raise AssertionError("witness trees have a wrong size")
-        if order[0] in t.in_neighbors:
+        if ins >> order[0] & 1:
             raise AssertionError("a merge root fell inside the favorite's in-set")
         if t.vstar in order[1:]:
             raise AssertionError("the favorite must root exactly one tree")
         if champion_of(t, order) != order[0]:
             raise AssertionError("a witness tree does not crown its root")
-    if t.in_masks[t.vstar] & ~covered:
+    if ins & ~covered:
         raise AssertionError("the witness trees miss a player that beats the favorite")
     return covered
 
@@ -206,15 +213,11 @@ def complete_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> Seeding:
     return Seeding(blocks[0])
 
 
-def _verify(t: Tournament, s: Seeding) -> None:
-    if champion_of(t, s.leaf_order) != t.vstar:
-        raise AssertionError("solver produced a seeding that does not crown the favorite")
-
-
 def pick(t: Tournament, algo: str = "auto") -> str:
     """The algorithm ``solve`` runs for ``algo``: one of ``ALGOS``, with
     ``auto`` resolved to ``outdeg`` when the degree certificate answers NO,
-    to ``exact`` up to ``EXACT_MAX_N`` players, and to ``indeg`` beyond."""
+    to ``exact`` up to ``EXACT_MAX_N`` players, and to ``indeg`` beyond.
+    It checks no limit: each solver checks its own when ``solve`` calls it."""
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}, expected one of {', '.join(ALGOS)}")
     if algo != "auto":
@@ -224,49 +227,26 @@ def pick(t: Tournament, algo: str = "auto") -> str:
     return "exact" if t.n <= EXACT_MAX_N else "indeg"
 
 
-def _route(t: Tournament, algo: str) -> str:
-    """The feasibility gate: the route ``solve`` takes for a concrete ``algo``.
-
-    Returns ``brute``, ``degree`` (NO by the degree certificate),
-    ``identity`` (nobody beats the favorite), ``exact`` or ``forest`` (the
-    witness-forest search), or raises ValueError naming the limit the route
-    exceeds.
-    """
-    if algo == "brute":
-        return "brute"
-    if t.ell < t.num_rounds:
-        return "degree"
-    k = t.k
-    if algo == "indeg" and k == 0:
-        return "identity"
-    if algo != "indeg" or k << k >= t.n:
-        if t.n > EXACT_MAX_N:
-            raise ValueError(f"exact solver is capped at {EXACT_MAX_N} players, got n={t.n}")
-        return "exact"
-    if k > 2:
-        raise ValueError(f"the witness-forest search covers k <= 2, got k={k}")
-    return "forest"
-
-
 def solve(t: Tournament, algo: str = "auto") -> Seeding | None:
     """Winning seeding for the favorite, or None.
 
-    ``algo`` is one of ``ALGOS`` (see ``pick``).  The feasibility gate runs
-    before any work.  Every YES is verified by simulation before it is
-    returned, and every None is exact.
+    ``algo`` is one of ``ALGOS`` (see ``pick``).  Each solver checks its
+    limit on entry, before any work.  Every YES is verified by simulation
+    before it is returned, and every None is exact.
     """
-    route = _route(t, pick(t, algo))
-    if route == "degree":
-        return None
-    if route == "brute":
+    algo = pick(t, algo)
+    k = t.k
+    if algo == "brute":
         s = brute_force_decide(t)
-    elif route == "identity":
-        s = Seeding(tuple(range(t.n)))
-    elif route == "exact":
+    elif t.ell < t.num_rounds:
+        return None
+    elif algo != "indeg" or k << k >= t.n:
         s = solve_exact(t)
+    elif k == 0:
+        s = Seeding(tuple(range(t.n)))
     else:
         trees = find_wwf(t)
         s = None if trees is None else complete_wwf(t, trees)
-    if s is not None:
-        _verify(t, s)
+    if s is not None and champion_of(t, s.leaf_order) != t.vstar:
+        raise AssertionError("solver produced a seeding that does not crown the favorite")
     return s

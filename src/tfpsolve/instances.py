@@ -9,6 +9,8 @@ then coin-flips the remaining pairs.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .core import _BLOCK, Seeding, Tournament, _masks, champion_of
@@ -16,11 +18,14 @@ from .core import _BLOCK, Seeding, Tournament, _masks, champion_of
 __all__ = ["gen_random", "gen_planted_yes"]
 
 
-def _check_nk(n: int, k: int) -> None:
+def _check_nk(n: int, k: int) -> tuple[int, int]:
+    """n and k as plain ints; numpy integers lack ``bit_length``."""
+    n, k = operator.index(n), operator.index(k)
     if n < 1 or n & (n - 1):
         raise ValueError(f"player count must be a power of two, got {n}")
     if not 0 <= k <= n - 1:
         raise ValueError(f"the favorite's loss count must be in 0..{n - 1}, got {k}")
+    return n, k
 
 
 def _coin_flips(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -52,7 +57,7 @@ def _set_favorite(a: np.ndarray, ins: set[int]) -> None:
 
 def gen_random(n: int, k: int, seed: int = 0) -> Tournament:
     """Uniform-ish instance: k conquerors chosen at random, coin flips elsewhere."""
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     rng = np.random.default_rng(seed)
     ins = {int(v) for v in rng.choice(np.arange(1, n), size=k, replace=False)} if k else set()
     a = _coin_flips(n, rng)
@@ -69,7 +74,7 @@ def gen_planted_yes(n: int, k: int, seed: int = 0) -> tuple[Tournament, Seeding]
     Needs k <= n - 1 - log2(n): the favorite must stay free to win its
     log2(n) planted matches.
     """
-    _check_nk(n, k)
+    n, k = _check_nk(n, k)
     rounds = n.bit_length() - 1
     if k > n - 1 - rounds:
         raise ValueError(

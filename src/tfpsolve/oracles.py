@@ -68,7 +68,9 @@ def _brackets(players: tuple[int, ...]) -> Iterator[list[int]]:
 def enumerate_seedings(n: int) -> Iterator[Seeding]:
     """All seedings of n players up to mirror-symmetry of sub-brackets."""
     if n > _SEEDINGS_MAX_N:
-        raise OracleLimitError(f"seeding enumeration is capped at {_SEEDINGS_MAX_N} players")
+        raise OracleLimitError(
+            f"seeding enumeration is capped at {_SEEDINGS_MAX_N} players, got n={n}"
+        )
     if n & (n - 1) or n < 1:
         raise ValueError(f"player count must be a power of two, got {n}")
     for order in _brackets(tuple(range(n))):
@@ -222,7 +224,9 @@ def brute_force_wwf(t: Tournament) -> Wwf | None:
     lowest leftover players, whose roots are automatically allowed.
     """
     if t.n > _WWF_MAX_N:
-        raise OracleLimitError(f"witness-forest search is capped at {_WWF_MAX_N} players")
+        raise OracleLimitError(
+            f"witness-forest search is capped at {_WWF_MAX_N} players, got n={t.n}"
+        )
     k = t.k
     size = 1 << k
     if k == 0:

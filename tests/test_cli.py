@@ -85,16 +85,18 @@ class TestDecide:
         assert run(capsys, "decide", str(p)) == (2, "", err)
 
     @pytest.mark.parametrize(
-        "k, limit",
+        "n, k, algo, limit",
         [
-            (3, "the witness-forest search covers k <= 2, got k=3"),
-            (4, "capped at 16 players, got n=32"),
+            (32, 3, "auto", "the witness-forest search covers k <= 2, got k=3"),
+            (32, 4, "auto", "capped at 16 players, got n=32"),
+            (16, 2, "brute", "seeding enumeration is capped at 8 players, got n=16"),
         ],
+        ids=["forest-k3", "exact-n32", "brute-n16"],
     )
-    def test_out_of_reach_names_one_limit(self, capsys, tmp_path, k, limit):
+    def test_out_of_reach_names_one_limit(self, capsys, tmp_path, n, k, algo, limit):
         path = str(tmp_path / "big.tfp")
-        run(capsys, "gen", path, "--n", "32", "--k", str(k), "--seed", "0")
-        code, out, err = run(capsys, "decide", path)
+        run(capsys, "gen", path, "--n", str(n), "--k", str(k), "--seed", "0")
+        code, out, err = run(capsys, "decide", path, "--algo", algo)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert limit in err and "iteration" not in err and "override" not in err

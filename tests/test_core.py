@@ -12,8 +12,11 @@ from tfpsolve import (
     arbitrary_lba,
     bracket_rounds,
     champion_of,
+    complete_wwf,
+    find_wwf,
     format_tournament,
     format_trace,
+    gen_planted_yes,
     gen_random,
     parse_tournament,
     seeding_from_sequence,
@@ -117,6 +120,7 @@ class TestTournament:
         assert t.in_masks == _masks(_bits(t.out_masks, n).T)
         assert t.in_neighbors == {u for u in t.players if t.beats(u, vstar)}
         assert t.out_neighbors == {u for u in t.players if t.beats(vstar, u)}
+        assert t.k == len(t.in_neighbors) and t.ell == len(t.out_neighbors)
 
 
 _H4 = "TFP v1\nn=4 vstar=0\n"
@@ -459,6 +463,15 @@ class TestSeeding:
         tree = arbitrary_lba(t, order)
         assert tree == arbitrary_lba(t, range(64))
         assert all(type(v) is int for v in (tree.root, *tree.parent, *tree.parent.values()))
+        # numpy ids in a witness forest used to be shifted as int64 at n >= 64
+        for seed in range(6):
+            t, _ = gen_planted_yes(128, 2, seed=seed)
+            trees = find_wwf(t)
+            got = complete_wwf(t, [np.array(order, np.int64) for order in trees])
+            assert got == complete_wwf(t, trees)
+        # and a numpy player count lacked ``bit_length``
+        t, s = gen_planted_yes(np.int64(64), np.int64(2), seed=0)
+        assert (t, s) == gen_planted_yes(64, 2, seed=0)
 
 
 class TestSimulation:

@@ -474,6 +474,25 @@ class TestSolveGate:
         with pytest.raises(ValueError, match=r"^the witness-forest search covers k <= 2, got k=3$"):
             solve(gen_random(32, 3, seed=0), "auto")
 
+    @pytest.mark.parametrize(
+        "n, k, algo, limit",
+        [
+            (32, 4, "auto", r"^exact solver is capped at 16 players, got n=32$"),
+            (32, 3, "auto", r"^the witness-forest search covers k <= 2, got k=3$"),
+            (16, 2, "brute", r"^seeding enumeration is capped at 8 players, got n=16$"),
+        ],
+        ids=["exact-n32", "forest-k3", "brute-n16"],
+    )
+    def test_every_limit_fires_before_any_work(self, monkeypatch, n, k, algo, limit):
+        def work(*args):
+            raise AssertionError("a solver started work past its limit")
+
+        monkeypatch.setattr(tfpsolve.embed, "_winners_table", work)
+        monkeypatch.setattr(tfpsolve.indeg, "_find", work)
+        monkeypatch.setattr(tfpsolve.oracles, "champion_of", work)
+        with pytest.raises(ValueError, match=limit):
+            solve(gen_random(n, k, seed=0), algo)
+
     @pytest.mark.parametrize("algo", ["brute", "exact", "outdeg", "indeg"])
     def test_every_yes_is_simulated(self, t4_yes, monkeypatch, algo):
         import tfpsolve.indeg
