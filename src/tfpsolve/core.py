@@ -59,6 +59,11 @@ def _is_power_of_two(m: int) -> bool:
     return m > 0 and not m & (m - 1)
 
 
+def _check_leaf_count(n: int) -> None:
+    if not _is_power_of_two(n):
+        raise ValueError(f"leaf count {n} is not a power of two")
+
+
 # Rows per block in the array passes; bounds their temporaries at n=2048.
 # A multiple of 8, so each block's column strip starts on a byte.
 _BLOCK = 128
@@ -210,8 +215,7 @@ class Seeding:
         # plain ints: numpy integers overflow in the bit shifts of ``beats``
         object.__setattr__(self, "leaf_order", tuple(map(operator.index, self.leaf_order)))
         n = len(self.leaf_order)
-        if not _is_power_of_two(n):
-            raise ValueError(f"leaf count {n} is not a power of two")
+        _check_leaf_count(n)
         if sorted(self.leaf_order) != list(range(n)):
             raise ValueError("leaf_order is not a permutation of the players")
 
@@ -417,6 +421,7 @@ def bracket_rounds(t: Tournament, order: Sequence[int]) -> list[list[Match]]:
     """Play a bracket over ``order`` and return each round's matches in slot order."""
     rounds: list[list[Match]] = []
     cur = list(order)
+    _check_leaf_count(len(cur))
     while len(cur) > 1:
         matches: list[Match] = []
         nxt: list[int] = []
@@ -433,6 +438,7 @@ def bracket_rounds(t: Tournament, order: Sequence[int]) -> list[list[Match]]:
 def champion_of(t: Tournament, order: Sequence[int]) -> int:
     """Winner of the bracket over ``order``, without building a trace."""
     cur = list(order)
+    _check_leaf_count(len(cur))
     while len(cur) > 1:
         cur = [
             cur[i] if t.beats(cur[i], cur[i + 1]) else cur[i + 1]

@@ -3,13 +3,16 @@
 Bit u of ``winners[S]`` says that player u can win a bracket on exactly the
 player set S.  A bracket on S splits into two halves of equal size, and u
 wins it when u wins one half and beats a winner of the other.  Bit u of
-``beats_some[S]`` says that u beats some member of S, so the winners through
-a split with half-winners a and b are ``(a & beats_some[b]) | (b &
-beats_some[a])``: one table lookup per split, and one vectorized pass per
-bracket size fills the table.  Both tables hold one ``uint16`` word per
-player set, one bit per player, which is exact up to ``EXACT_MAX_N`` = 16
-players and keeps each table at 2**n words.  ``solve_exact`` reads a
-winning seeding back off the table, one split per bracket, winner first.
+``beats_some[M]`` says that u beats some member of the mask M, and
+``beats_winner[S] = beats_some[winners[S]]``, written along with each
+level's sets, says that u beats some winner of S.  The winners through a
+split of S into ``sub`` and ``rest`` are then ``(winners[sub] &
+beats_winner[rest]) | (winners[rest] & beats_winner[sub])``: four
+int64-indexed gathers per split, and one vectorized pass per bracket size
+fills the table.  The tables hold one ``uint16`` word per player set, one
+bit per player, which is exact up to ``EXACT_MAX_N`` = 16 players and keeps
+each table at 2**n words.  ``solve_exact`` reads a winning seeding back off
+the table, one split per bracket, winner first.
 """
 
 from __future__ import annotations
@@ -33,10 +36,13 @@ _WORD = np.dtype(f"uint{EXACT_MAX_N}")
 
 @lru_cache(maxsize=None)
 def _split_levels(n: int):
-    """Per bracket size s: all (sub, rest) splits of every s-subset of players.
+    """Per bracket size s: the s-subsets of players and the subs that split them.
 
-    Splits are grouped set-major with a fixed count per set, and each sub
-    contains its set's smallest player so that unordered splits appear once.
+    ``sets`` has one mask per s-subset and ``subs[i, j]`` is the half that
+    split pattern i takes from ``sets[j]``; the other half is ``sets - subs``.
+    Every sub holds its set's smallest player, so unordered splits appear
+    once, and a row per pattern makes the OR over a set's splits a reduce
+    over contiguous rows.
     """
     levels = []
     size = 2
@@ -48,10 +54,7 @@ def _split_levels(n: int):
         picks = np.zeros((size, len(pats)), np.int64)
         picks[0] = 1
         picks[np.array(pats, np.intp).T, np.arange(len(pats))] = 1
-        masks = bits.sum(axis=1)
-        s1 = (bits @ picks).reshape(-1)
-        s2 = np.repeat(masks, len(pats)) - s1
-        levels.append((s1, s2, masks, len(pats)))
+        levels.append((picks.T @ bits.T, bits.sum(axis=1)))
         size *= 2
     return tuple(levels)
 
@@ -63,13 +66,17 @@ def _winners_table(t: Tournament) -> np.ndarray:
     for v, beaten_by in enumerate(t.in_masks):
         beats_some[1 << v : 2 << v] = beats_some[: 1 << v] | beaten_by
     winners = np.zeros(1 << n, _WORD)
+    beats_winner = np.zeros(1 << n, _WORD)
     singles = 1 << np.arange(n)
     winners[singles] = singles
-    for s1, s2, targets, per_set in _split_levels(n):
-        a = winners[s1]
-        b = winners[s2]
-        ch = (a & beats_some[b]) | (b & beats_some[a])
-        winners[targets] = np.bitwise_or.reduce(ch.reshape(-1, per_set), axis=1)
+    beats_winner[singles] = beats_some[singles]
+    for subs, sets in _split_levels(n):
+        rests = sets - subs
+        ch = np.take(winners, subs) & np.take(beats_winner, rests)
+        ch |= np.take(winners, rests) & np.take(beats_winner, subs)
+        won = np.bitwise_or.reduce(ch, axis=0)
+        winners[sets] = won
+        beats_winner[sets] = beats_some[won]
     return winners
 
 

@@ -544,3 +544,10 @@ class TestMatchSequences:
 def test_bracket_rounds_on_subset(t4_yes):
     assert bracket_rounds(t4_yes, [1, 2]) == [[(1, 2)]]
     assert bracket_rounds(t4_yes, [0, 1, 3, 2]) == [[(0, 1), (3, 2)], [(0, 3)]]
+
+
+@pytest.mark.parametrize("play", [bracket_rounds, champion_of])
+@pytest.mark.parametrize("order", [[], [0, 1, 2]])
+def test_leaf_count_not_power_of_two(t4_yes, play, order):
+    with pytest.raises(ValueError, match=f"leaf count {len(order)} is not a power of two"):
+        play(t4_yes, order)

@@ -11,6 +11,7 @@ from tfpsolve import (
     Seeding,
     Tournament,
     brute_force_decide,
+    gen_planted_yes,
     gen_random,
     is_lba,
     seeding_to_lba,
@@ -31,6 +32,33 @@ def bracket_winners(t: Tournament, players: tuple[int, ...]) -> int:
             if champs >> u & 1 and t.out_masks[u] & beaten:
                 got |= 1 << u
     return got
+
+
+def level_winners(t: Tournament) -> dict[int, int]:
+    """Reference for the whole winners table in pure Python: one dict of
+    Python-int masks per bracket size, built from the level below it."""
+
+    def beats_any(mask: int) -> int:
+        return sum(1 << u for u in range(t.n) if t.out_masks[u] & mask)
+
+    level = {1 << v: 1 << v for v in range(t.n)}
+    table = dict(level)
+    size = 1
+    while size < t.n:
+        beats = {half: beats_any(won) for half, won in level.items()}
+        size *= 2
+        nxt = {}
+        for bits in itertools.combinations([1 << p for p in range(t.n)], size):
+            whole = sum(bits)
+            won = 0
+            for others in itertools.combinations(bits[1:], size // 2 - 1):
+                sub = bits[0] + sum(others)
+                rest = whole - sub
+                won |= level[sub] & beats[rest] | level[rest] & beats[sub]
+            nxt[whole] = won
+        level = nxt
+        table.update(level)
+    return table
 
 
 class TestSolveExact:
@@ -58,23 +86,47 @@ class TestSolveExact:
                 want[sum(1 << p for p in players)] = bracket_winners(t, players)
         assert winners.tolist() == want.tolist()
 
+    @pytest.mark.parametrize(
+        "t, favorite_wins",
+        [
+            (gen_random(16, 3, seed=0), None),
+            (gen_random(16, 8, seed=1), None),
+            (gen_random(16, 13, seed=2), False),  # degree NO: out-degree 2 < 4 rounds
+            (gen_planted_yes(16, 5)[0], True),
+        ],
+        ids=["k3", "k8", "k13-degree-no", "planted-k5"],
+    )
+    def test_winners_table_matches_levels_at_16(self, t, favorite_wins):
+        winners = _winners_table(t)
+        want = [0] * (1 << t.n)  # sets whose size is no power of two stay empty
+        for mask, won in level_winners(t).items():
+            want[mask] = won
+        assert winners.tolist() == want
+        if favorite_wins is not None:
+            assert bool(int(winners[-1]) >> t.vstar & 1) == favorite_wins
+
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_split_levels(self, n):
         levels = _split_levels(n)
-        assert [int(sets[0]).bit_count() for _, _, sets, _ in levels] == [
+        assert [int(sets[0]).bit_count() for _, sets in levels] == [
             1 << r for r in range(1, n.bit_length())
         ]
-        for s1, s2, sets, per_set in levels:
+        for subs, sets in levels:
             size = int(sets[0]).bit_count()
             assert len(np.unique(sets)) == len(sets) == math.comb(n, size)
-            assert per_set == math.comb(size - 1, size // 2 - 1)
-            whole = np.repeat(sets, per_set)
-            assert not (s1 & s2).any()
-            assert ((s1 | s2) == whole).all()
-            least = whole & -whole
-            assert ((s1 & least) == least).all()
-            for half in (s1, s2):
+            assert subs.shape == (math.comb(size - 1, size // 2 - 1), len(sets))
+            ordered = np.sort(subs, axis=0)
+            assert (ordered[1:] != ordered[:-1]).all()  # no split of a set twice
+            rests = sets - subs
+            assert not (subs & rests).any()
+            assert ((subs | rests) == sets).all()
+            least = sets & -sets
+            assert ((subs & least) == least).all()
+            for half in (subs, rests):
                 assert (sum(half >> p & 1 for p in range(n)) == size // 2).all()
+
+    def test_split_levels_cache_bytes(self):
+        assert sum(a.nbytes for level in _split_levels(16) for a in level) <= 3.9e6
 
     def test_single_player(self):
         t = Tournament(n=1, vstar=0, out_masks=(0,))
