@@ -500,24 +500,22 @@ def validate_match_sequence(
 def seeding_from_sequence(rounds: Sequence[Iterable[Match]]) -> Seeding:
     """Rebuild a seeding whose simulation replays ``rounds``.
 
-    Works backwards from the final: each match's winner keeps the left half
-    of its block and the loser's sub-bracket fills the right half.
+    Folds the schedule round by round: each match's winner keeps its block
+    on the left and the loser's block fills the right half.  A loop, not a
+    recursive closure, which would be a reference cycle holding the whole
+    schedule until the cyclic garbage collector runs.
     """
     schedule = [dict(matches) for matches in rounds]
     if not schedule:
         raise ValueError("cannot rebuild a seeding from an empty schedule")
-    final = schedule[-1]
-    if len(final) != 1:
+    if len(schedule[-1]) != 1:
         raise ValueError("final round must hold exactly one match")
-    champion = next(iter(final))
-
-    def place(u: int, r: int) -> list[int]:
-        if r == 0:
-            return [u]
-        loser = schedule[r - 1][u]
-        return place(u, r - 1) + place(loser, r - 1)
-
-    return Seeding(tuple(place(champion, len(schedule))))
+    block: dict[int, tuple[int, ...]] = {}
+    for matches in schedule:
+        for w, l in matches.items():
+            block[w] = block.pop(w, (w,)) + block.pop(l, (l,))
+    (champion,) = schedule[-1]
+    return Seeding(block[champion])
 
 
 def format_trace(trace: KnockoutTrace) -> str:

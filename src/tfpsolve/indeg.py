@@ -10,8 +10,10 @@ A seeding that crowns the favorite survives in three regimes:
   roots all avoid the favorite's in-set, which jointly swallow every
   in-neighbor, and in which the favorite appears only as a root.  Each
   tree is held as its leaf order: a bracket its root wins, root first.
-  ``find_wwf`` finds a forest by a deterministic bounded search, exact for
-  k <= 2 (its docstring carries the proof); k >= 3 here is out of reach.
+  For k <= 2 one tree that holds every conqueror decides: a forest
+  exists iff such a tree does (``find_wwf``'s docstring carries the
+  proof), and ``find_wwf`` finds one or proves there is none by one
+  deterministic search.  k >= 3 here is out of reach.
   YES answers carry a verified seeding, and every NO is exact.
 
 ``complete_wwf`` then grows the witness forest into a winning seeding.
@@ -71,33 +73,34 @@ def _apart(xs: int, ys: int) -> tuple[int, int] | None:
     return y, _low(ys & ~(1 << y))
 
 
-def _find(t: Tournament, in_masks: tuple[int, ...], W: tuple[int, ...], X: int) -> Order | None:
-    """One bracket tree on 2**k players, k <= 2, or None if there is none.
+def _find(t: Tournament) -> Order | None:
+    """One bracket tree on 2**k players, k <= 2, that holds every conqueror,
+    or None if there is none.
 
-    The tree holds the conquerors in ``W`` as non-roots, avoids the players
-    in the bitmask ``X``, has its root outside the favorite's in-set, and
-    holds the favorite only as its root.  At k = 2 the tree is r -> a and
-    r -> b -> c, played as (r, a, b, c).  Each placement of W on a, b and c
-    is tried; r runs over the allowed roots and b over r's allowed out-neighbors, after which a
-    and c are any distinct picks from their candidate sets.  A call costs
-    O(n**2) bitset operations.
+    The conquerors are non-roots, the root lies outside the favorite's
+    in-set, and the favorite appears only as the root.  At k = 2 the tree is
+    r -> a and r -> b -> c, played as (r, a, b, c).  Each placement of the
+    two conquerors on a, b and c is tried; r runs over the allowed roots and
+    b over r's allowed out-neighbors, after which a and c are any distinct
+    picks from their candidate sets.  A call costs O(n**2) bitset
+    operations.
     """
-    out = t.out_masks
-    free = ((1 << t.n) - 1) & ~X
-    roots = free & ~t.in_masks[t.vstar]
-    kids = free & ~(1 << t.vstar) & ~sum(1 << w for w in W)
+    out, ins = t.out_masks, t.in_masks
+    W = tuple(_players(ins[t.vstar]))
+    roots = ((1 << t.n) - 1) & ~ins[t.vstar]
+    kids = roots & ~(1 << t.vstar)
     if t.k == 1:
         (u,) = W
-        r = roots & in_masks[u] if free >> u & 1 else 0
+        r = roots & ins[u]
         return (_low(r), u) if r else None
     for places in itertools.permutations("abc", len(W)):
         pin = dict(zip(places, W))
-        dom = {p: free & 1 << pin[p] if p in pin else kids for p in "abc"}
+        dom = {p: 1 << pin[p] if p in pin else kids for p in "abc"}
         rdom, bdom = roots, dom["b"]
         for p in pin.keys() & {"a", "b"}:  # r beats a and b
-            rdom &= in_masks[pin[p]]
+            rdom &= ins[pin[p]]
         if "c" in pin:  # b beats c
-            bdom &= in_masks[pin["c"]]
+            bdom &= ins[pin["c"]]
         if not bdom:  # no root has a b: skip the scan over the roots
             continue
         for r in _players(rdom):
@@ -109,58 +112,44 @@ def _find(t: Tournament, in_masks: tuple[int, ...], W: tuple[int, ...], X: int) 
     return None
 
 
-def _split(
-    t: Tournament, in_masks: tuple[int, ...], u1: int, u2: int, X: int
-) -> tuple[Order, Order] | None:
-    """The branch of ``find_wwf`` at avoid-set ``X``: disjoint trees for u1 and u2."""
-    t1 = _find(t, in_masks, (u1,), X | 1 << u2)
-    if t1 is None:
-        return None
-    t2 = _find(t, in_masks, (u2,), sum(1 << v for v in t1))
-    if t2 is not None:
-        return t1, t2
-    if X.bit_count() < 3:
-        for v in sorted(set(t1) - {u1}):
-            got = _split(t, in_masks, u1, u2, X | 1 << v)
-            if got is not None:
-                return got
-    return None
-
-
 def find_wwf(t: Tournament) -> tuple[Order, ...] | None:
     """A witness forest, or None when none exists; for 1 <= k <= 2 and
-    k*2**k < n, by at most 81 calls of ``_find``.
+    k*2**k < n, by one call of ``_find``.
 
-    k = 1: one call decides.  k = 2, with conquerors u1 < u2: a tree that
-    holds both is a forest by itself.  Otherwise, starting from X = {}, take
-    T1 = find({u1}, X | {u2}) and T2 = find({u2}, T1).  When T2 misses,
-    branch on each v in T1 - {u1} by adding v to X, down to |X| = 3.
+    One tree that holds every conqueror is a forest by itself, and the
+    converse holds too: for k <= 2 a forest exists iff one tree holds all
+    the conquerors.  At k = 1 there is only one conqueror.  At k = 2, write
+    a tree as (r, a, b, c) with arcs r -> a, r -> b and b -> c, and let u
+    and w be the conquerors, u beating w.  Suppose disjoint trees T_u, which
+    holds u, and T_w, which holds w, form a forest, and let p be u's parent
+    in T_u.
 
-    Exactness: let (T1*, T2*) be a solution with u1 in T1* and u2 in T2*,
-    and let X be a subset of T2* - {u2}, as X = {} is.  T1* avoids X | {u2},
-    so T1 exists.  If T2 misses, T2* meets T1, since otherwise T2* would be
-    a T2; it does so in some v of T1 - {u1} that is neither u2 nor in X,
-    because T1 avoids both.  The branch on v keeps X a subset of T2* - {u2}
-    with one more player, so at |X| = 3 we have X = T2* - {u2}, T1 avoids
-    T2*, and T2 cannot miss.  Some branch therefore finds a forest whenever
-    one exists.  Calls: one for the shared tree, then two on each of the
-    1 + 3 + 9 + 27 = 40 branch nodes, 81 in all.
+    (a) p is T_u's root, so it may be a root, and it has another child x.
+        x is not w, as the trees are disjoint, and not the favorite, which
+        is only ever a root.  So (p, x, u, w) is a tree.
+    (b) p is T_u's middle node.  p is neither u nor w, so it is no
+        conqueror and may be a root; it is not the favorite, which is only
+        ever a root.  If p beats some x outside {u, w, favorite}, then
+        (p, x, u, w) is a tree.
+    (c) Otherwise p beats nobody outside {u, w}, since p, no conqueror,
+        loses to the favorite.  Let q be w's parent in T_w.  q is no
+        conqueror, as u lies in T_u; it is not the favorite, as q beats w
+        and w beats the favorite; and it is not p, as the trees are
+        disjoint.  So q beats p, and (q, w, p, u) is a tree.
+
+    ``_find`` searches every placement of the two conquerors in one tree,
+    so it misses only when no forest exists, and every NO is exact.
     """
     k = t.k
     if k > 2:
         raise ValueError(f"the witness-forest search covers k <= 2, got k={k}")
     if k < 1 or k << k >= t.n:
         raise ValueError("witness-forest search applies when 1 <= k <= 2 and k*2**k < n")
-    us = tuple(_players(t.in_masks[t.vstar]))
-    whole = _find(t, t.in_masks, us, 0)
-    if whole is not None:
-        trees = (whole,)
-    else:
-        trees = _split(t, t.in_masks, *us, 0) if k == 2 else None
-        if trees is None:
-            return None
-    _covered(t, trees)
-    return trees
+    tree = _find(t)
+    if tree is None:
+        return None
+    _covered(t, (tree,))
+    return (tree,)
 
 
 def _covered(t: Tournament, trees: Sequence[Sequence[int]]) -> int:

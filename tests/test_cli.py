@@ -228,6 +228,17 @@ class TestVerifySeeding:
         code, _, err = run(capsys, "verify-seeding", yes_file, "--seeding", "0 0 1 2")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "seeding, err",
+        [
+            ("0 1 x 3", "error: seeding must be whitespace-separated integers\n"),
+            ("0 1 2", "error: seeding lists 3 players, tournament has 4\n"),
+        ],
+        ids=["not_integers", "wrong_length"],
+    )
+    def test_rejects_malformed_seeding(self, capsys, yes_file, seeding, err):
+        assert run(capsys, "verify-seeding", yes_file, "--seeding", seeding) == (2, "", err)
+
 
 class TestCheckStructure:
     def test_nice_seeding(self, capsys, yes_file):
@@ -291,6 +302,12 @@ class TestEnvironment:
         monkeypatch.setenv("TFP_THREADS", "zero")
         code, _, err = run(capsys, "decide", yes_file)
         assert code == 2 and "TFP_THREADS" in err
+
+    def test_zero_threads_rejected(self, capsys, yes_file, monkeypatch):
+        monkeypatch.setenv("TFP_THREADS", "0")
+        assert run(capsys, "decide", yes_file) == (
+            2, "", "error: TFP_THREADS must be a positive integer\n"
+        )
 
     def test_output_independent_of_threads(self, capsys, yes_file, monkeypatch):
         outs = set()

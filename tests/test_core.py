@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from conftest import T4_YES_TEXT, tournaments
@@ -44,6 +46,14 @@ class TestTournament:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Tournament(n=2, vstar=0, out_masks=(1, 0))
+
+    def test_rejects_favorite_out_of_range(self, t4_yes):
+        with pytest.raises(ValueError, match=r"^favorite 4 out of range for n=4$"):
+            Tournament(n=4, vstar=4, out_masks=t4_yes.out_masks)
+
+    def test_rejects_wrong_row_count(self, t4_yes):
+        with pytest.raises(ValueError, match=r"^out_masks length differs from player count$"):
+            Tournament(n=4, vstar=0, out_masks=t4_yes.out_masks[:3])
 
     def test_rejects_unoriented_pair(self):
         with pytest.raises(ValueError):
@@ -531,6 +541,21 @@ class TestMatchSequences:
     def test_seeding_from_sequence_rejects_empty(self):
         with pytest.raises(ValueError):
             seeding_from_sequence([])
+
+    def test_seeding_from_sequence_leaves_no_cyclic_garbage(self):
+        # a recursive closure is a reference cycle that holds the schedule
+        # until a collection; repair_to_nice rebuilds once per rewrite
+        t = gen_random(64, 3, seed=2)
+        trace = simulate(t, Seeding(tuple(range(64))))
+        rounds = [list(r) for r in trace.rounds]
+        gc.collect()
+        gc.disable()
+        try:
+            rebuilt = seeding_from_sequence(rounds)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert simulate(t, rebuilt).rounds == trace.rounds
 
     @given(tournaments())
     def test_sequence_round_trip_preserves_matches(self, t):
