@@ -7,8 +7,17 @@ formatting the TFP v1 text) goes through numpy arrays instead, so each of
 those steps is a few whole-array passes over blocks of rows rather than a
 Python loop per cell.  ``_packed`` lays the masks out as an
 ``(n, ceil(n/8))`` uint8 matrix of little-endian bytes; a block of rows or a
-byte-aligned strip of columns unpacks from it into bools, and ``_masks``
-packs a bool matrix back.
+byte-aligned strip of columns unpacks from it into bools, and ``_ints``
+turns it back into masks.
+
+A table is checked once, on those packed rows (``_check_packed``): the
+diagonal bits, then the orientation, read as ``P ^ transpose(P)`` being all
+ones off the diagonal.  ``_transpose`` is the 8x8 bit-block transpose of
+Hacker's Delight (H. S. Warren, section 7-3) on ``uint64`` words.  The
+parser, ``Tournament.from_matrix`` and the generators hold packed rows
+already and hand them to ``Tournament._from_rows``, so no table is packed
+twice.  Below ``_PACKED_MIN_N`` players, and for a mask that does not fit
+in n bits, the plain per-cell check ``_check_cells`` runs instead.
 
 ``parse_tournament`` takes the file's text or its bytes.  Bytes in the
 canonical layout, the one ``format_tournament`` writes, are read in place
@@ -18,6 +27,7 @@ which also names the first defect's line and column.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -72,7 +82,7 @@ _BLOCK = 128
 def _packed(masks: Sequence[int], n: int) -> np.ndarray:
     """uint8 matrix whose row u is ``masks[u]`` in ``ceil(n/8)`` little-endian bytes.
 
-    Every mask must be a non-negative int below ``2**n``.
+    A mask that is negative or does not fit in those bytes raises OverflowError.
     """
     width = (n + 7) // 8
     raw = b"".join(m.to_bytes(width, "little") for m in masks)
@@ -91,14 +101,13 @@ def _bits(masks: Sequence[int], n: int) -> np.ndarray:
 
 
 def _ints(packed: np.ndarray) -> tuple[int, ...]:
-    """Row bitmasks of a packed matrix, the inverse of ``_packed``."""
-    raw, width = memoryview(packed.tobytes()), packed.shape[1]
-    return tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
+    """Row bitmasks of a packed matrix, the inverse of ``_packed``.
 
-
-def _masks(a) -> tuple[int, ...]:
-    """Row bitmasks of a bool matrix: bit v of row u is set iff ``a[u, v]``."""
-    return _ints(np.packbits(np.asarray(a, bool), axis=1, bitorder="little"))
+    Each row is read as one bytes item.  ``tolist`` drops an item's trailing
+    zero bytes, which are its high bytes here, so no value changes.
+    """
+    rows = np.ascontiguousarray(packed).view(f"S{packed.shape[1]}").ravel().tolist()
+    return tuple(map(int.from_bytes, rows, itertools.repeat("little")))
 
 
 def _players(mask: int):
@@ -107,6 +116,83 @@ def _players(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# The fewest players the packed check takes.  It needs a multiple of 8, and
+# its fixed cost of some 25 numpy calls loses to the per-cell check at n=16
+# (54 against 23 us in process) and wins from n=32 (58 against 109 us).
+_PACKED_MIN_N = 32
+
+# The delta swaps of an 8x8 bit transpose, cell (r, c) at bit 8r + c.
+_SWAPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+
+
+def _transpose(packed: np.ndarray) -> np.ndarray:
+    """The packed matrix of the transposed table; n must be a multiple of 8.
+
+    Bytes ``packed[8I : 8I + 8, J]`` are the rows of the 8x8 bit block
+    (I, J), so each block is one little-endian ``uint64`` with cell (r, c)
+    at bit 8r + c.  Three delta swaps transpose every block at once, and
+    block (I, J) moves to (J, I).
+    """
+    n, m = packed.shape
+    x = packed.reshape(m, 8, m).transpose(0, 2, 1).copy().view("<u8").reshape(m, m)
+    for shift, mask in _SWAPS:
+        t = x >> shift
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    return x.T.copy().view(np.uint8).reshape(m, m, 8).transpose(0, 2, 1).reshape(n, m)
+
+
+def _check_packed(packed: np.ndarray) -> None:
+    """Raise ValueError for the first defect of a packed table, n a multiple of 8.
+
+    Every row fits in n bits by its width, so the first defect is the first
+    row with its diagonal bit set, or else the least pair (u, v), u < v, in
+    row-major order that is not oriented exactly once.
+    """
+    n = len(packed)
+    ids = np.arange(n)
+    diag = np.uint8(1) << (ids & 7).astype(np.uint8)
+    loops = packed[ids, ids >> 3] & diag
+    if loops.any():
+        raise ValueError(f"player {int(np.argmax(loops))} listed as beating itself")
+    # Off the diagonal exactly one of a[u, v] and a[v, u] holds, so P ^ P.T
+    # is all ones there; set the diagonal too and look for a zero bit.  The
+    # clash matrix is symmetric, so its first cell in row-major order is the
+    # least pair (u, v) with u < v.
+    either = _transpose(packed)
+    either ^= packed
+    either[ids, ids >> 3] |= diag
+    if not np.all(either == 0xFF):
+        u, j = divmod(int(np.argmax(either != 0xFF)), either.shape[1])
+        gaps = 0xFF ^ int(either[u, j])
+        v = 8 * j + (gaps & -gaps).bit_length() - 1
+        raise ValueError(f"pair ({u},{v}) is not oriented exactly once")
+
+
+def _check_cells(masks: tuple[int, ...], n: int) -> None:
+    """The same check as ``_check_packed``, cell by cell on the masks.
+
+    It runs below ``_PACKED_MIN_N`` players and when a mask does not fit in
+    n bits, so it checks each row's range first: the first row that is out
+    of range or beats itself, in row order, names the defect.
+    """
+    full = (1 << n) - 1
+    for u, row in enumerate(masks):
+        if row & ~full:
+            raise ValueError(f"row {u} has bits outside the player range")
+        if row >> u & 1:
+            raise ValueError(f"player {u} listed as beating itself")
+    for u, v in itertools.combinations(range(n), 2):
+        if not (masks[u] >> v ^ masks[v] >> u) & 1:
+            raise ValueError(f"pair ({u},{v}) is not oriented exactly once")
 
 
 @dataclass(frozen=True)
@@ -127,35 +213,48 @@ class Tournament:
         object.__setattr__(self, "n", operator.index(self.n))
         object.__setattr__(self, "vstar", operator.index(self.vstar))
         object.__setattr__(self, "out_masks", tuple(map(operator.index, self.out_masks)))
+        self._check_size()
+        try:
+            packed = _packed(self.out_masks, self.n) if self.n >= _PACKED_MIN_N else None
+        except OverflowError:  # a negative row or one past n bits: _check_cells names it
+            packed = None
+        if packed is None:
+            _check_cells(self.out_masks, self.n)
+        else:
+            _check_packed(packed)
+
+    def _check_size(self) -> None:
         if not _is_power_of_two(self.n):
             raise ValueError(f"player count {self.n} is not a power of two")
         if not 0 <= self.vstar < self.n:
             raise ValueError(f"favorite {self.vstar} out of range for n={self.n}")
         if len(self.out_masks) != self.n:
             raise ValueError("out_masks length differs from player count")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.out_masks):
-            if row & ~full:
-                raise ValueError(f"row {u} has bits outside the player range")
-            if row >> u & 1:
-                raise ValueError(f"player {u} listed as beating itself")
-        # Off the diagonal exactly one of a[u, v] and a[v, u] holds.  The
-        # clash matrix is symmetric, so its first cell in row-major order is
-        # the least pair (u, v) with u < v.
-        packed = _packed(self.out_masks, self.n)
-        for lo in range(0, self.n, _BLOCK):
-            hi = min(self.n, lo + _BLOCK)
-            clash = _strip(packed[lo:hi], 0, self.n) == _strip(packed, lo, hi).T
-            clash[np.arange(hi - lo), np.arange(lo, hi)] = False
-            if clash.any():
-                u, v = divmod(int(np.argmax(clash)), self.n)
-                raise ValueError(f"pair ({lo + u},{v}) is not oriented exactly once")
+
+    @classmethod
+    def _from_rows(cls, packed: np.ndarray, vstar: int) -> "Tournament":
+        """The tournament whose row u is ``packed[u]`` in the layout of ``_packed``.
+
+        It runs the constructor's checks on ``packed`` itself, so the rows
+        are not packed again.  Below ``_PACKED_MIN_N`` players, and for rows
+        of another width (a non-square matrix), it calls the constructor.
+        """
+        n = len(packed)
+        if n < _PACKED_MIN_N or packed.shape[1] != n // 8:
+            masks = _ints(packed)
+            return cls(len(masks), vstar, masks)
+        t = cls.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "vstar", operator.index(vstar))
+        object.__setattr__(t, "out_masks", _ints(packed))
+        t._check_size()
+        _check_packed(packed)
+        return t
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[int]], vstar: int) -> "Tournament":
         """Tournament whose player u beats v iff ``rows[u][v]`` is truthy."""
-        masks = _masks(rows)
-        return cls(len(masks), vstar, masks)
+        return cls._from_rows(np.packbits(np.asarray(rows, bool), axis=1, bitorder="little"), vstar)
 
     def beats(self, u: int, v: int) -> bool:
         # a numpy v would force the Python-int row into a C long
@@ -273,7 +372,7 @@ def _parse_canonical(data: bytes) -> Tournament | None:
     ``str.splitlines`` breaks at a form feed, or a byte that is not UTF-8,
     sends the file to ``_parse_lines`` instead.  The rows are one
     ``(n, n + 1)`` view of ``data``, checked and packed a block of rows at a
-    time, and ``Tournament`` checks the orientation.
+    time, and ``Tournament._from_rows`` checks the packed table.
     """
     pos = found = 0
     while found < 2:
@@ -302,7 +401,7 @@ def _parse_canonical(data: bytes) -> Tournament | None:
             return None
         packed[lo : lo + _BLOCK] = np.packbits(cells & 1, axis=1, bitorder="little")
     try:
-        return Tournament(n, vstar, _ints(packed))
+        return Tournament._from_rows(packed, vstar)
     except ValueError:
         return None
 
@@ -356,7 +455,7 @@ def _parse_lines(text: str) -> Tournament:
         _need(lines, 2 + len(rows), f"matrix row {len(rows)}")
     if len(lines) > 2 + n:
         raise ParseError("unexpected trailing content", lines[2 + n][0], 1)
-    return Tournament(n, vstar, _ints(packed))
+    return Tournament._from_rows(packed, vstar)
 
 
 def _row_masks(rows: list[str], n: int) -> tuple[np.ndarray, int]:
@@ -419,31 +518,23 @@ def format_tournament(t: Tournament, comments: Iterable[str] = ()) -> str:
 
 def bracket_rounds(t: Tournament, order: Sequence[int]) -> list[list[Match]]:
     """Play a bracket over ``order`` and return each round's matches in slot order."""
-    rounds: list[list[Match]] = []
-    cur = list(order)
+    out, rounds = t.out_masks, []
+    cur = list(map(operator.index, order))  # numpy ids overflow the shifts
     _check_leaf_count(len(cur))
     while len(cur) > 1:
-        matches: list[Match] = []
-        nxt: list[int] = []
-        for i in range(0, len(cur), 2):
-            u, v = cur[i], cur[i + 1]
-            w, l = (u, v) if t.beats(u, v) else (v, u)
-            matches.append((w, l))
-            nxt.append(w)
+        matches = [(u, v) if out[u] >> v & 1 else (v, u) for u, v in zip(cur[::2], cur[1::2])]
         rounds.append(matches)
-        cur = nxt
+        cur = [w for w, _ in matches]
     return rounds
 
 
 def champion_of(t: Tournament, order: Sequence[int]) -> int:
     """Winner of the bracket over ``order``, without building a trace."""
-    cur = list(order)
+    out = t.out_masks
+    cur = list(map(operator.index, order))  # numpy ids overflow the shifts
     _check_leaf_count(len(cur))
     while len(cur) > 1:
-        cur = [
-            cur[i] if t.beats(cur[i], cur[i + 1]) else cur[i + 1]
-            for i in range(0, len(cur), 2)
-        ]
+        cur = [u if out[u] >> v & 1 else v for u, v in zip(cur[::2], cur[1::2])]
     return cur[0]
 
 

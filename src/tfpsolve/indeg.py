@@ -178,7 +178,8 @@ def _covered(t: Tournament, trees: Sequence[Sequence[int]]) -> int:
 def _round(t: Tournament, blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """One bracket round over equal-size blocks, each led by its winner:
     adjacent blocks meet, and the winner's block goes on the left."""
-    return [a + b if t.beats(a[0], b[0]) else b + a for a, b in zip(blocks[::2], blocks[1::2])]
+    out = t.out_masks
+    return [a + b if out[a[0]] >> b[0] & 1 else b + a for a, b in zip(blocks[::2], blocks[1::2])]
 
 
 def complete_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> Seeding:
@@ -191,10 +192,10 @@ def complete_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> Seeding:
     each match winner's block going left.
     """
     covered = _covered(t, trees)
-    blocks = [(v,) for v in _players(((1 << t.n) - 1) & ~covered)]
+    blocks = [(v,) for v in range(t.n) if not covered >> v & 1]
     for _ in range(t.k):
         blocks = _round(t, blocks)
-    blocks = [tuple(order) for order in trees] + blocks
+    blocks = [tuple(map(operator.index, order)) for order in trees] + blocks
     while len(blocks) > 1:
         blocks = _round(t, blocks)
     if blocks[0][0] != t.vstar:

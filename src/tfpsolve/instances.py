@@ -13,7 +13,7 @@ import operator
 
 import numpy as np
 
-from .core import _BLOCK, Seeding, Tournament, _masks, champion_of
+from .core import _BLOCK, Seeding, Tournament, champion_of
 
 __all__ = ["gen_random", "gen_planted_yes"]
 
@@ -62,7 +62,7 @@ def gen_random(n: int, k: int, seed: int = 0) -> Tournament:
     ins = {int(v) for v in rng.choice(np.arange(1, n), size=k, replace=False)} if k else set()
     a = _coin_flips(n, rng)
     _set_favorite(a, ins)
-    return Tournament(n=n, vstar=0, out_masks=_masks(a))
+    return Tournament.from_matrix(a, vstar=0)
 
 
 def gen_planted_yes(n: int, k: int, seed: int = 0) -> tuple[Tournament, Seeding]:
@@ -93,7 +93,7 @@ def gen_planted_yes(n: int, k: int, seed: int = 0) -> tuple[Tournament, Seeding]
             w, l = label[p], label[i]
             a[w, l], a[l, w] = True, False
     _set_favorite(a, ins)
-    t = Tournament(n=n, vstar=0, out_masks=_masks(a))
+    t = Tournament.from_matrix(a, vstar=0)
     # Node i hangs off i & (i - 1), so node p's subtree is the index range
     # p .. p + (p & -p) - 1 (all of it for p = 0), and ``lba_to_seeding``
     # folds the tree into index order: the winning seeding is ``label``.

@@ -25,7 +25,7 @@ from tfpsolve import (
     simulate,
     validate_match_sequence,
 )
-from tfpsolve.core import _bits, _masks, _parse_canonical, _parse_lines
+from tfpsolve.core import _check_packed, _parse_canonical, _parse_lines, _transpose
 
 
 class TestTournament:
@@ -83,10 +83,10 @@ class TestTournament:
         # (0,3) and (1,2) are both oriented both ways
         with pytest.raises(ValueError, match=r"^pair \(0,3\) is not oriented exactly once$"):
             Tournament(n=4, vstar=0, out_masks=(0b1010, 0b1100, 0b1011, 0b0001))
-        # n=4: the column strip is narrower than its one byte
+        # n=4: the cell-by-cell check
         with pytest.raises(ValueError, match=r"^pair \(2,3\) is not oriented exactly once$"):
             Tournament(n=4, vstar=0, out_masks=(0b1110, 0b1100, 0b0000, 0b0000))
-        # n=256: the bad pairs lie in the second block, whose strip starts at byte 16;
+        # n=256: the packed check, with the bad pairs in different 8x8 bit blocks;
         # (131,140) is unoriented and (130,250) oriented both ways
         masks = [(1 << 256) - (2 << u) for u in range(256)]  # u beats every v > u
         masks[131] &= ~(1 << 140)
@@ -94,6 +94,10 @@ class TestTournament:
         with pytest.raises(ValueError, match=r"^pair \(130,250\) is not oriented exactly once$"):
             Tournament(n=256, vstar=0, out_masks=tuple(masks))
         masks[250] &= ~(1 << 130)
+        with pytest.raises(ValueError, match=r"^pair \(131,140\) is not oriented exactly once$"):
+            Tournament(n=256, vstar=0, out_masks=tuple(masks))
+        # (131,141) is unoriented too, in the same byte of row 131
+        masks[131] &= ~(1 << 141)
         with pytest.raises(ValueError, match=r"^pair \(131,140\) is not oriented exactly once$"):
             Tournament(n=256, vstar=0, out_masks=tuple(masks))
 
@@ -127,10 +131,97 @@ class TestTournament:
         upper = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
         vstar = data.draw(st.integers(0, n - 1))
         t = Tournament.from_matrix(upper | np.tril(~upper.T, -1), vstar)
-        assert t.in_masks == _masks(_bits(t.out_masks, n).T)
+        assert t.in_masks == tuple(sum(t.beats(u, v) << u for u in t.players) for v in t.players)
         assert t.in_neighbors == {u for u in t.players if t.beats(u, vstar)}
         assert t.out_neighbors == {u for u in t.players if t.beats(vstar, u)}
         assert t.k == len(t.in_neighbors) and t.ell == len(t.out_neighbors)
+
+
+def _cell_error(masks: list[int], n: int) -> str | None:
+    """The first defect of a results table, checked cell by cell: rows in
+    order (the range before the diagonal), then pairs in row-major order."""
+    for u, row in enumerate(masks):
+        if row < 0 or row >> n:
+            return f"row {u} has bits outside the player range"
+        if row >> u & 1:
+            return f"player {u} listed as beating itself"
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (masks[u] >> v & 1) == (masks[v] >> u & 1):
+                return f"pair ({u},{v}) is not oriented exactly once"
+    return None
+
+
+def _random_table(n: int, rng: np.random.Generator) -> np.ndarray:
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    return upper | np.tril(~upper.T, -1)
+
+
+def _plain_masks(a: np.ndarray) -> list[int]:
+    return [int("".join("1" if x else "0" for x in row[::-1]) or "0", 2) for row in a]
+
+
+DEFECTS = ("unoriented", "both_ways", "self_loop", "past_n")
+DEFECT_CASES = [
+    (n, d)
+    for n in (1, 2, 4, 8, 16, 64, 256, 1024)
+    for d in DEFECTS
+    if n > 1 or d in ("self_loop", "past_n")  # one player has no pair
+]
+
+
+class TestPackedCheck:
+    @pytest.mark.parametrize("n", [8, 16, 64, 512, 2048])
+    def test_transpose_matches_packbits(self, n):
+        a = np.random.default_rng(n).random((n, n)) < 0.5
+        got = _transpose(np.packbits(a, axis=1, bitorder="little"))
+        assert np.array_equal(got, np.packbits(a.T, axis=1, bitorder="little"))
+
+    @pytest.mark.parametrize("n, defect", DEFECT_CASES)
+    def test_one_defect_matches_the_cell_reference(self, n, defect):
+        rng = np.random.default_rng([n, DEFECTS.index(defect)])
+        for _ in range(3):
+            a = _random_table(n, rng)
+            u, v = sorted(rng.choice(n, 2, replace=False)) if n > 1 else (0, 0)
+            if defect == "unoriented":
+                a[u, v] = a[v, u] = False
+            elif defect == "both_ways":
+                a[u, v] = a[v, u] = True
+            elif defect == "self_loop":
+                a[v, v] = True
+            masks = _plain_masks(a)
+            if defect == "past_n":
+                masks[v] |= 1 << n + int(rng.integers(0, 9))
+            want = _cell_error(masks, n)
+            assert want is not None
+            with pytest.raises(ValueError) as got:
+                Tournament(n, 0, masks)
+            assert str(got.value) == want
+            if defect != "past_n":
+                with pytest.raises(ValueError) as got:
+                    Tournament.from_matrix(a, 0)
+                assert str(got.value) == want
+            if defect != "past_n" and n >= 8:  # directly, also where the constructor checks cells
+                with pytest.raises(ValueError) as got:
+                    _check_packed(np.packbits(a, axis=1, bitorder="little"))
+                assert str(got.value) == want
+        # and the table without a defect passes
+        assert Tournament.from_matrix(_random_table(n, rng), 0).n == n
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_rows_fire_in_order_with_range_first_in_a_row(self, n):
+        def table(extra: dict[int, int]) -> list[int]:
+            masks = [(1 << u) - 1 for u in range(n)]  # u beats every v < u
+            for u, bits in extra.items():
+                masks[u] |= bits
+            return masks
+
+        with pytest.raises(ValueError, match=r"^player 3 listed as beating itself$"):
+            Tournament(n, 0, table({3: 1 << 3, 5: 1 << n}))
+        with pytest.raises(ValueError, match=r"^row 3 has bits outside the player range$"):
+            Tournament(n, 0, table({3: 1 << n, 5: 1 << 5}))
+        with pytest.raises(ValueError, match=r"^row 3 has bits outside the player range$"):
+            Tournament(n, 0, table({3: 1 << 3 | 1 << n}))
 
 
 _H4 = "TFP v1\nn=4 vstar=0\n"

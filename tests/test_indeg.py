@@ -213,8 +213,9 @@ class TestPatternAndHost:
         assert 20 < found and 20 < missed
 
 
-class TestColorings:
-    """The solvers draw no colorings: an answer is a function of the instance."""
+class TestDeterministicSolve:
+    """``solve(t, "indeg")`` draws no random numbers, so an answer is a
+    function of the instance, and it answers k = 0 without the forest search."""
 
     def test_deterministic_given_seed(self, monkeypatch):
         ts = [sample(i, 32) for i in range(8)]
@@ -241,8 +242,8 @@ class TestColorings:
         assert solve(t, "indeg") == Seeding(tuple(range(16)))
 
 
-class TestBudget:
-    """``--multiplier`` once sized the draw budget; it is still validated."""
+class TestMultiplierFlag:
+    """``--multiplier`` is validated, although no solver reads it."""
 
     @pytest.mark.parametrize("m", [0.0, -5.0, math.nan, math.inf, -math.inf])
     def test_rejects_multiplier_without_miss_bound(self, m):
@@ -303,7 +304,7 @@ class TestFindWwf:
                 find_wwf(t)
                 assert calls == [(t,)], (i, n)
 
-    def test_one_dp_per_decided_chunk(self, monkeypatch):
+    def test_one_find_call_decides(self, monkeypatch):
         # one _find call decides k = 1 and k = 2, and its tree is the forest
         calls = []
         find = tfpsolve.indeg._find
@@ -330,7 +331,7 @@ class TestFindWwf:
             assert t.ell >= t.num_rounds and pick(t) == "indeg"
             assert solve(t, "indeg") is None
 
-    def test_no_instance_exhausts_budget(self):
+    def test_dominating_conquerors_are_an_exact_no(self):
         # an exact NO, the same as the exact solver's
         assert find_wwf(dominating_conquerors(16)) is None
         assert solve_exact(dominating_conquerors(16)) is None
