@@ -17,7 +17,10 @@ Hacker's Delight (H. S. Warren, section 7-3) on ``uint64`` words.  The
 parser, ``Tournament.from_matrix`` and the generators hold packed rows
 already and hand them to ``Tournament._from_rows``, so no table is packed
 twice.  Below ``_PACKED_MIN_N`` players, and for a mask that does not fit
-in n bits, the plain per-cell check ``_check_cells`` runs instead.
+in n bits, the plain per-cell check ``_check_cells`` runs instead.  A
+tournament keeps the rows it was checked on as a read-only ``_rows``
+(packed on first use where the per-cell check ran), and
+``format_tournament`` unpacks its text from them a block at a time.
 
 ``parse_tournament`` takes the file's text or its bytes.  Bytes in the
 canonical layout, the one ``format_tournament`` writes, are read in place
@@ -93,11 +96,6 @@ def _strip(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Bool columns lo..hi-1 of a packed matrix; ``lo`` must be a multiple of 8."""
     cols = packed[:, lo // 8 : (hi + 7) // 8]
     return np.unpackbits(cols, axis=1, count=hi - lo, bitorder="little").view(bool)
-
-
-def _bits(masks: Sequence[int], n: int) -> np.ndarray:
-    """Bool matrix with ``a[u, v]`` set iff bit v of ``masks[u]`` is."""
-    return _strip(_packed(masks, n), 0, n)
 
 
 def _ints(packed: np.ndarray) -> tuple[int, ...]:
@@ -222,6 +220,7 @@ class Tournament:
             _check_cells(self.out_masks, self.n)
         else:
             _check_packed(packed)
+            object.__setattr__(self, "_rows", packed)
 
     def _check_size(self) -> None:
         if not _is_power_of_two(self.n):
@@ -249,12 +248,23 @@ class Tournament:
         object.__setattr__(t, "out_masks", _ints(packed))
         t._check_size()
         _check_packed(packed)
+        packed.flags.writeable = False
+        object.__setattr__(t, "_rows", packed)
         return t
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[int]], vstar: int) -> "Tournament":
         """Tournament whose player u beats v iff ``rows[u][v]`` is truthy."""
         return cls._from_rows(np.packbits(np.asarray(rows, bool), axis=1, bitorder="little"), vstar)
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """``_packed(out_masks, n)``, read-only: the rows the table was checked on.
+
+        The constructor's packed check and ``_from_rows`` set it to the rows
+        they checked; otherwise it is packed on first use.
+        """
+        return _packed(self.out_masks, self.n)
 
     def beats(self, u: int, v: int) -> bool:
         # a numpy v would force the Python-int row into a C long
@@ -509,7 +519,7 @@ def format_tournament(t: Tournament, comments: Iterable[str] = ()) -> str:
     out = [f"# {c}\n" for c in comments]
     out.append(f"TFP v1\nn={t.n} vstar={t.vstar}\n")
     for lo in range(0, t.n, _BLOCK):
-        rows = _bits(t.out_masks[lo : lo + _BLOCK], t.n)
+        rows = _strip(t._rows[lo : lo + _BLOCK], 0, t.n)
         cells = np.full((len(rows), t.n + 1), ord("\n"), np.uint8)
         cells[:, : t.n] = rows.view(np.uint8) + ord("0")
         out.append(cells.tobytes().decode("ascii"))

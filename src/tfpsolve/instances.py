@@ -5,6 +5,10 @@ Both generators put the favorite at player 0 and give it exactly k losses.
 first hides a spanning bracket tree rooted at the favorite (so the instance
 is solvable by construction and the winning seeding is returned alongside),
 then coin-flips the remaining pairs.
+
+Both build the table through ``_tournament`` directly as the packed rows
+``Tournament`` checks, a block of ``_BLOCK`` rows at a time, so the largest
+temporary is one block's bool slab and its coins, never an n-by-n matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import operator
 
 import numpy as np
 
-from .core import _BLOCK, Seeding, Tournament, champion_of
+from .core import _BLOCK, Seeding, Tournament, _transpose, champion_of
 
 __all__ = ["gen_random", "gen_planted_yes"]
 
@@ -28,31 +32,47 @@ def _check_nk(n: int, k: int) -> tuple[int, int]:
     return n, k
 
 
-def _coin_flips(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Bool results table with every pair of players 1..n-1 oriented by a coin.
+def _tournament(
+    n: int, rng: np.random.Generator, ins: set[int], winners=(), losers=()
+) -> Tournament:
+    """Favorite 0 losing to ``ins``, the planted arcs ``winners[i]`` beats
+    ``losers[i]`` (none involving the favorite), and a coin for every other pair.
 
-    Pairs (u, v), u < v, take coins from ``rng.integers(0, 2)`` in row-major
-    order, 1 meaning u beats v.  The coins are drawn a block of rows at a
-    time, which gives the same stream as one call for all of them.  The
-    favorite's row and column stay empty.
+    Pairs (u, v), 1 <= u < v, take coins from ``rng.integers(0, 2)`` in
+    row-major order, 1 meaning u beats v.  The table is built as packed rows
+    (the layout of ``core._packed``) a block of ``_BLOCK`` rows at a time:
+    a bool slab of the block's upper-triangle cells takes the favorite's
+    row, one coin call for the block's pairs (the same stream as one call
+    for all of them) and the planted arcs, and is packed into its rows.
+    The lower triangle is then the complement of the transposed upper one,
+    ``P ^= transpose(P) ^ L`` with L the strictly-lower cells.
     """
-    a = np.zeros((n, n), bool)
-    sub = a[1:, 1:]
-    m = n - 1
-    for lo in range(0, m, _BLOCK):
-        hi = min(m, lo + _BLOCK)
-        upper = np.arange(m) > np.arange(lo, hi)[:, None]
-        sub[lo:hi][upper] = rng.integers(0, 2, size=int(upper.sum()))
-        # the mirror cells below the diagonal: v beats u iff u does not beat v
-        sub[lo:hi, :hi] |= np.tril(~sub[:hi, lo:hi].T, lo - 1)
-    return a
-
-
-def _set_favorite(a: np.ndarray, ins: set[int]) -> None:
-    """Player 0 loses to the players in ``ins`` and beats everyone else."""
-    a[0, 1:] = True
-    for v in ins:
-        a[0, v], a[v, 0] = False, True
+    w, l = np.asarray(winners, np.intp), np.asarray(losers, np.intp)
+    top, bottom, top_wins = np.minimum(w, l), np.maximum(w, l), w < l
+    size = max(n, 8)  # _transpose takes whole bytes of rows
+    packed = np.zeros((size, size // 8), np.uint8)
+    for lo in range(0, n, _BLOCK):
+        hi = min(n, lo + _BLOCK)
+        upper = np.zeros((hi - lo, n), bool)
+        if lo == 0:
+            upper[0, 1:] = True
+            upper[0, list(ins)] = False
+        first = max(lo, 1)
+        coins = rng.integers(0, 2, size=(2 * n - 1 - first - hi) * (hi - first) // 2)
+        at = 0
+        for u in range(first, hi):
+            upper[u - lo, u + 1 :] = coins[at : at + n - 1 - u]
+            at += n - 1 - u
+        mine = (lo <= top) & (top < hi)
+        upper[top[mine] - lo, bottom[mine]] = top_wins[mine]
+        packed[lo:hi] = np.packbits(upper, axis=1, bitorder="little")
+    ids = np.arange(size)
+    lower = np.where(np.arange(size // 8) < (ids >> 3)[:, None], np.uint8(0xFF), np.uint8(0))
+    lower[ids, ids >> 3] = (1 << (ids & 7)) - 1
+    mirror = _transpose(packed)
+    mirror ^= lower
+    packed ^= mirror
+    return Tournament._from_rows(packed[:n], vstar=0)
 
 
 def gen_random(n: int, k: int, seed: int = 0) -> Tournament:
@@ -60,9 +80,7 @@ def gen_random(n: int, k: int, seed: int = 0) -> Tournament:
     n, k = _check_nk(n, k)
     rng = np.random.default_rng(seed)
     ins = {int(v) for v in rng.choice(np.arange(1, n), size=k, replace=False)} if k else set()
-    a = _coin_flips(n, rng)
-    _set_favorite(a, ins)
-    return Tournament.from_matrix(a, vstar=0)
+    return _tournament(n, rng, ins)
 
 
 def gen_planted_yes(n: int, k: int, seed: int = 0) -> tuple[Tournament, Seeding]:
@@ -86,14 +104,9 @@ def gen_planted_yes(n: int, k: int, seed: int = 0) -> tuple[Tournament, Seeding]
     root_kids = {1 << j for j in range(rounds)}
     non_kids = sorted(label[i] for i in range(1, n) if i not in root_kids)
     ins = {int(v) for v in rng.choice(np.array(non_kids), size=k, replace=False)} if k else set()
-    a = _coin_flips(n, rng)
-    for i in range(1, n):
-        p = i & (i - 1)
-        if p:  # the favorite's own planted arcs come from _set_favorite
-            w, l = label[p], label[i]
-            a[w, l], a[l, w] = True, False
-    _set_favorite(a, ins)
-    t = Tournament.from_matrix(a, vstar=0)
+    # the favorite's own planted arcs, those from node 0, are in its row
+    kids = [i for i in range(1, n) if i & (i - 1)]
+    t = _tournament(n, rng, ins, [label[i & (i - 1)] for i in kids], [label[i] for i in kids])
     # Node i hangs off i & (i - 1), so node p's subtree is the index range
     # p .. p + (p & -p) - 1 (all of it for p = 0), and ``lba_to_seeding``
     # folds the tree into index order: the winning seeding is ``label``.

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from tfpsolve import (
     simulate,
     validate_match_sequence,
 )
-from tfpsolve.core import _check_packed, _parse_canonical, _parse_lines, _transpose
+from tfpsolve.core import _check_packed, _packed, _parse_canonical, _parse_lines, _transpose
 
 
 class TestTournament:
@@ -222,6 +223,67 @@ class TestPackedCheck:
             Tournament(n, 0, table({3: 1 << n, 5: 1 << 5}))
         with pytest.raises(ValueError, match=r"^row 3 has bits outside the player range$"):
             Tournament(n, 0, table({3: 1 << 3 | 1 << n}))
+
+
+def _crlf_with_comment(t: Tournament) -> str:
+    """``t``'s file with CRLF line ends and a comment between rows: not canonical."""
+    lines = format_tournament(t).splitlines()
+    return "\r\n".join(lines[:3] + ["# between rows"] + lines[3:]) + "\r\n"
+
+
+def _via_line_reader(t: Tournament) -> Tournament:
+    text = _crlf_with_comment(t)
+    assert _parse_canonical(text.encode()) is None
+    return parse_tournament(text)
+
+
+def _via_canonical_bytes(t: Tournament) -> Tournament:
+    data = format_tournament(t).encode()
+    got = _parse_canonical(data)
+    assert got is not None
+    return got
+
+
+# Each way a Tournament is made, from a random table of n players (the
+# generators take only its n).
+ROW_SOURCES = {
+    "canonical_parse": _via_canonical_bytes,
+    "line_parse": _via_line_reader,
+    "from_matrix": lambda t: Tournament.from_matrix(
+        [[t.beats(u, v) for v in t.players] for u in t.players], t.vstar
+    ),
+    "constructor": lambda t: Tournament(t.n, t.vstar, t.out_masks),
+    "gen_random": lambda t: gen_random(t.n, 1, seed=t.n),
+    "gen_planted_yes": lambda t: gen_planted_yes(t.n, 0, seed=t.n)[0],
+}
+
+# sha256 of format_tournament of a 64-player table built by the constructor
+# (vstar=5) and of one read by the line-by-line reader (vstar=9)
+FORMAT_PINS = {
+    "constructor": "fa1d62676efecf7dbdb7edbfea2f397eee7751283573ff8d3920cbbde2eab466",
+    "line_parse": "add59563e62d3489d0baaa474725248a26f0a457c515627774188e75ebda0fe8",
+}
+
+
+class TestCheckedRows:
+    @pytest.mark.parametrize("n", [4, 16, 64, 256])
+    @pytest.mark.parametrize("source", ROW_SOURCES)
+    def test_rows_are_the_packed_masks_and_read_only(self, source, n):
+        t = ROW_SOURCES[source](_random_tournament(n, np.random.default_rng([n, 7])))
+        assert t._rows.dtype == np.uint8
+        assert np.array_equal(t._rows, _packed(t.out_masks, t.n))
+        assert not t._rows.flags.writeable
+
+    def test_format_of_constructed_table_is_pinned(self):
+        masks = _plain_masks(_random_table(64, np.random.default_rng(640)))
+        text = format_tournament(Tournament(64, 5, masks))
+        assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_PINS["constructor"]
+
+    def test_format_of_line_parsed_table_is_pinned(self):
+        a = _random_table(64, np.random.default_rng(641))
+        t = _via_line_reader(Tournament.from_matrix(a, 9))
+        text = format_tournament(t)
+        assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_PINS["line_parse"]
 
 
 _H4 = "TFP v1\nn=4 vstar=0\n"

@@ -37,7 +37,7 @@ from tfpsolve import (
     solve_exact,
 )
 from tfpsolve.cli import _check_multiplier
-from tfpsolve.core import _bits
+from tfpsolve.core import _strip
 from tfpsolve.indeg import _apart, _find
 
 
@@ -62,7 +62,7 @@ def biased(n: int, k: int, seed: int) -> Tournament:
     """``gen_random`` with each conqueror beating each outsider with one
     probability drawn from [0.75, 1]: NOs that no degree bound certifies."""
     t = gen_random(n, k, seed=seed)
-    a = _bits(t.out_masks, n).copy()
+    a = _strip(t._rows, 0, n).copy()
     rng = np.random.default_rng(seed)
     outsiders = sorted(t.out_neighbors)
     for c in sorted(t.in_neighbors):
@@ -81,7 +81,7 @@ def gadget(n: int, k: int, seed: int, head: int = 0) -> Tournament:
     the ascending conquerors to pick the one w beats.
     """
     t = gen_random(n, k, seed=seed)
-    a = _bits(t.out_masks, n).copy()
+    a = _strip(t._rows, 0, n).copy()
     ins = sorted(t.in_neighbors)
     chain = ins[head:] + ins[:head]
     w = random.Random(seed).choice(sorted(t.out_neighbors))
@@ -185,7 +185,7 @@ class TestPatternAndHost:
         # every call misses, with or without the other conqueror in W
         for seed in range(2):
             t = gen_random(8, 2, seed=seed)
-            a = _bits(t.out_masks, 8).copy()
+            a = _strip(t._rows, 0, 8).copy()
             us = sorted(t.in_neighbors)
             c = us[seed % 2]
             for v in t.players:

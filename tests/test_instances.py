@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -71,6 +72,54 @@ def test_gen_planted_pinned_text(nks):
     t, s = gen_planted_yes(n, k, seed=seed)
     got = (_sha256(format_tournament(t)), _sha256(" ".join(map(str, s.leaf_order))))
     assert got == PLANTED_PINS[nks]
+
+
+def _reference_masks(n: int, k: int, seed: int, planted: bool) -> tuple[int, ...]:
+    """The generators' table built cell by cell from the same draws: the
+    planted tree's labels and the favorite's conquerors, then one coin per
+    pair (u, v), 1 <= u < v, in row-major order with 1 meaning u beats v.
+    The planted arcs overwrite their coins and the favorite's row comes last."""
+    rng = np.random.default_rng(seed)
+    pool, arcs = list(range(1, n)), []
+    if planted:
+        label = [0] + [int(x) for x in rng.permutation(n - 1) + 1]
+        root_kids = {1 << j for j in range(n.bit_length() - 1)}
+        pool = sorted(label[i] for i in range(1, n) if i not in root_kids)
+        arcs = [(label[i & (i - 1)], label[i]) for i in range(1, n) if i & (i - 1)]
+    ins = {int(v) for v in rng.choice(np.array(pool), size=k, replace=False)} if k else set()
+    m = n - 1
+    coins = rng.integers(0, 2, size=m * (m - 1) // 2).tolist()
+    out = [0] * n
+    for (u, v), coin in zip(itertools.combinations(range(1, n), 2), coins):
+        w, l = (u, v) if coin else (v, u)
+        out[w] |= 1 << l
+    for w, l in arcs:
+        out[w] |= 1 << l
+        out[l] &= ~(1 << w)
+    for v in range(1, n):
+        if v in ins:
+            out[v] |= 1
+        else:
+            out[0] |= 1 << v
+    return tuple(out)
+
+
+def _reference_cases(planted: bool):
+    for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+        top = n - n.bit_length() if planted else n - 1
+        for i, k in enumerate(sorted({0, min(2, top), top})):
+            yield n, k, 97 * n + i
+
+
+@pytest.mark.parametrize("nks", _reference_cases(False), ids=_nks_id)
+def test_gen_random_matches_cell_reference(nks):
+    assert gen_random(*nks).out_masks == _reference_masks(*nks, planted=False)
+
+
+@pytest.mark.parametrize("nks", _reference_cases(True), ids=_nks_id)
+def test_gen_planted_matches_cell_reference(nks):
+    t, s = gen_planted_yes(*nks)
+    assert t.out_masks == _reference_masks(*nks, planted=True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 64, 2048])
