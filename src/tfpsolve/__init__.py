@@ -4,19 +4,12 @@ Given a round-robin results table and a favorite player, the solvers here
 answer whether some bracket seeding crowns the favorite, and produce one
 when it exists.  ``solve`` is the one solver entry point.  See ``core`` for
 the instance format and simulation, ``embed``/``indeg`` for the solvers,
-``oracles`` for exhaustive baselines, and ``cli`` for the command-line entry
-point.
+``oracles`` for exhaustive baselines and structural checks, and ``cli`` for
+the command-line entry point.  Every bracket tree, in the solvers and the
+oracles alike, is held as the leaf order of a bracket its root wins, root
+first.
 """
 
-from .arborescence import (
-    Lba,
-    arbitrary_lba,
-    bracket_lba,
-    is_lba,
-    lba_to_seeding,
-    merge_lbas,
-    seeding_to_lba,
-)
 from .core import (
     KnockoutTrace,
     ParseError,
@@ -37,7 +30,6 @@ from .instances import gen_planted_yes, gen_random
 from .oracles import (
     NicenessReport,
     OracleLimitError,
-    Wwf,
     brute_force_decide,
     brute_force_wwf,
     enumerate_seedings,
@@ -51,15 +43,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KnockoutTrace",
-    "Lba",
     "NicenessReport",
     "OracleLimitError",
     "ParseError",
     "Seeding",
     "Tournament",
-    "Wwf",
-    "arbitrary_lba",
-    "bracket_lba",
     "bracket_rounds",
     "brute_force_decide",
     "brute_force_wwf",
@@ -72,16 +60,12 @@ __all__ = [
     "format_trace",
     "gen_planted_yes",
     "gen_random",
-    "is_lba",
     "is_wwf",
-    "lba_to_seeding",
-    "merge_lbas",
     "niceness",
     "parse_tournament",
     "pick",
     "repair_to_nice",
     "seeding_from_sequence",
-    "seeding_to_lba",
     "simulate",
     "solve",
     "solve_exact",

@@ -548,6 +548,13 @@ def champion_of(t: Tournament, order: Sequence[int]) -> int:
     return cur[0]
 
 
+def _round(t: Tournament, blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """One bracket round over equal-size blocks, each led by its winner:
+    adjacent blocks meet, and the winner's block goes on the left."""
+    out = t.out_masks
+    return [a + b if out[a[0]] >> b[0] & 1 else b + a for a, b in zip(blocks[::2], blocks[1::2])]
+
+
 def simulate(t: Tournament, s: Seeding) -> KnockoutTrace:
     """Play out the bracket given by ``s`` and record every round."""
     if s.n != t.n:

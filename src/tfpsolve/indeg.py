@@ -43,7 +43,7 @@ import itertools
 import operator
 from typing import Sequence
 
-from .core import Seeding, Tournament, _players, champion_of
+from .core import Seeding, Tournament, _players, _round, champion_of
 from .embed import EXACT_MAX_N, solve_exact
 from .oracles import brute_force_decide
 
@@ -154,10 +154,14 @@ def find_wwf(t: Tournament) -> tuple[Order, ...] | None:
 
 def _covered(t: Tournament, trees: Sequence[Sequence[int]]) -> int:
     """The bitmask of the players in ``trees``; raises AssertionError unless
-    they form a witness forest (see the module docstring)."""
+    they form a witness forest (see the module docstring), and ValueError
+    for a player id outside 0..n-1."""
     ins, covered = t.in_masks[t.vstar], 0
     for order in trees:
         order = tuple(map(operator.index, order))  # numpy ids overflow the shifts
+        for v in order:
+            if not 0 <= v < t.n:
+                raise ValueError(f"witness trees name player {v}, not one of the {t.n} players")
         mask = sum(1 << v for v in order)
         if covered & mask:
             raise AssertionError("witness trees overlap")
@@ -175,13 +179,6 @@ def _covered(t: Tournament, trees: Sequence[Sequence[int]]) -> int:
     return covered
 
 
-def _round(t: Tournament, blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """One bracket round over equal-size blocks, each led by its winner:
-    adjacent blocks meet, and the winner's block goes on the left."""
-    out = t.out_masks
-    return [a + b if out[a[0]] >> b[0] & 1 else b + a for a, b in zip(blocks[::2], blocks[1::2])]
-
-
 def complete_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> Seeding:
     """Grow a witness forest into a seeding the favorite wins.
 
@@ -189,7 +186,8 @@ def complete_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> Seeding:
     swallowed the whole in-set) are chunked in ascending order into blocks of
     the forest's tree size and bracketed in that order.  The witness trees'
     leaf orders go first, as given, and the blocks then meet in list order,
-    each match winner's block going left.
+    each match winner's block going left.  A player id outside 0..n-1
+    raises ValueError, and a forest that is no witness AssertionError.
     """
     covered = _covered(t, trees)
     blocks = [(v,) for v in range(t.n) if not covered >> v & 1]

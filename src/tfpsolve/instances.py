@@ -108,8 +108,8 @@ def gen_planted_yes(n: int, k: int, seed: int = 0) -> tuple[Tournament, Seeding]
     kids = [i for i in range(1, n) if i & (i - 1)]
     t = _tournament(n, rng, ins, [label[i & (i - 1)] for i in kids], [label[i] for i in kids])
     # Node i hangs off i & (i - 1), so node p's subtree is the index range
-    # p .. p + (p & -p) - 1 (all of it for p = 0), and ``lba_to_seeding``
-    # folds the tree into index order: the winning seeding is ``label``.
+    # p .. p + (p & -p) - 1 (all of it for p = 0): played in index order,
+    # node p beats p + 2**j in round j + 1, and the winning seeding is ``label``.
     s = Seeding(tuple(label))
     if champion_of(t, s.leaf_order) != 0:
         raise AssertionError("planting failed")

@@ -4,21 +4,23 @@ Everything here favors being obviously correct over being fast: seedings are
 enumerated one bracket-equivalence class at a time, witness forests are found
 by straight backtracking, and the niceness/repair machinery manipulates
 explicit match lists.  Hard player caps raise ``OracleLimitError`` before a
-call can silently take hours.
+call can silently take hours.  A bracket tree is held as in the solvers: the
+leaf order of a bracket its root wins, root first.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .arborescence import Lba, _tree_structure, arbitrary_lba, bracket_lba, is_lba
 from .core import (
     KnockoutTrace,
     Match,
     Seeding,
     Tournament,
+    _round,
     bracket_rounds,
     champion_of,
     seeding_from_sequence,
@@ -34,7 +36,6 @@ __all__ = [
     "niceness",
     "repair_to_nice",
     "extract_local_lba",
-    "Wwf",
     "is_wwf",
     "brute_force_wwf",
 ]
@@ -141,87 +142,82 @@ def repair_to_nice(t: Tournament, s: Seeding) -> tuple[Seeding, int]:
             raise AssertionError("repair failed to terminate")
 
 
-def extract_local_lba(t: Tournament, full: Lba, b: int) -> Lba:
-    """Carve a bracket tree of size 2**k around ``b`` out of a spanning one.
+def extract_local_lba(t: Tournament, s: Seeding, b: int) -> tuple[int, ...]:
+    """The bracket tree on 2**k players around ``b`` in ``s``: the aligned
+    block of 2**k leaves that holds ``b``, as the leaf order its winner
+    wins, winner first.
 
-    ``full`` must come from a *nice* winning seeding.  Walk up from ``b`` to
-    the first ancestor whose subtree reaches 2**k players, then keep that
-    ancestor with its k smallest child subtrees: their sizes are forced to be
-    1, 2, ..., 2**(k-1), which pack to exactly 2**k and include the branch
-    holding ``b``.  The carved root survived at least k rounds, and in a nice
-    bracket everyone who beats the favorite is gone by then, so the root is
-    not one of the favorite's conquerors.
+    ``s`` must be a *nice* winning seeding.  Write B for that block and u for
+    its winner.  In the bracket's arborescence every loser hangs off the
+    player who beat it, and a player who loses inside B won only a sub-block
+    of B smaller than 2**k, so its subtree is smaller than 2**k.  Walking up
+    from ``b``, the first player whose subtree reaches 2**k is therefore u,
+    and u's k smallest child subtrees, the players it beat in rounds 1..k,
+    fill exactly B.  u survived k rounds, and in a nice bracket everyone who
+    beats the favorite is gone by then, so u is not one of the favorite's
+    conquerors.
     """
+    if s.n != t.n:
+        raise ValueError(f"seeding over {s.n} players does not fit n={t.n}")
     size = 1 << t.k
-    if size > full.size:
-        raise ValueError("the tree is smaller than one block")
-    structure = _tree_structure(full)
-    if structure is None:
-        raise ValueError("input is not a rooted tree")
-    children, sizes = structure
-    if b != full.root and b not in full.parent:
-        raise ValueError(f"vertex {b} is not in the tree")
-    u = b
-    while sizes[u] < size:
-        u = full.parent[u]
-    kids = sorted(children[u], key=lambda c: sizes[c])[: t.k]
-    keep = {u}
-    stack = list(kids)
-    while stack:
-        x = stack.pop()
-        keep.add(x)
-        stack.extend(children[x])
-    if len(keep) != size or b not in keep:
-        raise AssertionError("the carved block misses its size or its vertex")
-    if u in t.in_neighbors:
+    if size > s.n:
+        raise ValueError("the seeding is smaller than one block")
+    if b not in s.leaf_order:
+        raise ValueError(f"player {b} is not in the seeding")
+    lo = s.leaf_order.index(b) & -size
+    block = _root_first(t, s.leaf_order[lo : lo + size])
+    if block[0] in t.in_neighbors:
         raise AssertionError("carving from a non-nice bracket")
-    sub = Lba(root=u, parent={v: full.parent[v] for v in keep if v != u})
-    if not is_lba(t, sub):
-        raise AssertionError("the carved block is not a bracket tree")
-    return sub
+    return block
 
 
-@dataclass(frozen=True)
-class Wwf:
-    """Witness forest: disjoint bracket-shaped trees covering the in-set."""
+def _root_first(t: Tournament, order: Sequence[int]) -> tuple[int, ...]:
+    """The bracket over ``order`` as the leaf order its winner wins, winner
+    first: each match winner's half goes on the left."""
+    blocks = [(v,) for v in map(operator.index, order)]
+    while len(blocks) > 1:
+        blocks = _round(t, blocks)
+    return blocks[0]
 
-    trees: tuple[Lba, ...]
 
+def is_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> bool:
+    """Check the witness-forest conditions on trees held as root-first
+    leaf orders.
 
-def is_wwf(t: Tournament, w) -> bool:
-    """Check the witness-forest conditions; accepts a Wwf or a tree sequence.
-
-    Conditions: exactly k trees, each a bracket tree on 2**k players, mutually
-    disjoint, no root beats the favorite, everyone who beats the favorite is
-    swallowed, and the favorite may appear only as a root.
+    Conditions: at most k trees, each a bracket on 2**k distinct players
+    that its first player wins, mutually disjoint, no root beats the
+    favorite, everyone who beats the favorite is swallowed, and the
+    favorite may appear only as a root.  A player id outside 0..n-1 makes
+    the forest invalid.
     """
-    trees = tuple(getattr(w, "trees", w))
-    if len(trees) != t.k:
+    if len(trees) > t.k:
         return False
     size = 1 << t.k
     seen: set[int] = set()
-    for tree in trees:
-        if tree.size != size or not is_lba(t, tree):
+    for order in trees:
+        players = set(order)
+        if len(order) != size or len(players) != size:
             return False
-        if not seen.isdisjoint(tree.vertices):
+        if not all(0 <= v < t.n for v in players) or not seen.isdisjoint(players):
             return False
-        seen |= tree.vertices
-        if tree.root in t.in_neighbors:
+        seen |= players
+        root = order[0]
+        if root in t.in_neighbors or champion_of(t, order) != root:
             return False
-        if t.vstar in tree.vertices and tree.root != t.vstar:
+        if t.vstar in players and root != t.vstar:
             return False
     return t.in_neighbors <= seen
 
 
-def brute_force_wwf(t: Tournament) -> Wwf | None:
+def brute_force_wwf(t: Tournament) -> tuple[tuple[int, ...], ...] | None:
     """Backtracking search for a witness forest; None when none exists.
 
     Blocks are chosen for the smallest not-yet-covered conqueror of the
     favorite, trying every vertex set of the right size; a block is usable if
     some bracket on it crowns an allowed root (the favorite itself when the
     favorite is inside, anyone outside the favorite's in-set otherwise).
-    Once every conqueror is covered the remaining trees are filled with the
-    lowest leftover players, whose roots are automatically allowed.
+    The forest is the trees that cover the conquerors, each as a root-first
+    leaf order, the form ``complete_wwf`` takes.
     """
     if t.n > _WWF_MAX_N:
         raise OracleLimitError(
@@ -230,7 +226,7 @@ def brute_force_wwf(t: Tournament) -> Wwf | None:
     k = t.k
     size = 1 << k
     if k == 0:
-        return Wwf(trees=())
+        return ()
     if k * size >= t.n:
         raise ValueError("witness forests only characterize instances with k*2**k < n")
     outcome_cache: dict[frozenset, dict[int, tuple[int, ...]]] = {}
@@ -245,14 +241,11 @@ def brute_force_wwf(t: Tournament) -> Wwf | None:
             outcome_cache[key] = got
         return got
 
-    def search(available: set[int], uncovered: list[int], picked: list[Lba]) -> list[Lba] | None:
+    def search(
+        available: set[int], uncovered: list[int], picked: list[tuple[int, ...]]
+    ) -> list[tuple[int, ...]] | None:
         if not uncovered:
-            rest = sorted(available)
-            fillers = [
-                arbitrary_lba(t, rest[i * size : (i + 1) * size])
-                for i in range(k - len(picked))
-            ]
-            return picked + fillers
+            return picked
         b = uncovered[0]
         pool = sorted(available - {b})
         for mates in itertools.combinations(pool, size - 1):
@@ -269,7 +262,7 @@ def brute_force_wwf(t: Tournament) -> Wwf | None:
             got = search(
                 available - set(block),
                 [x for x in uncovered if x not in block],
-                picked + [bracket_lba(t, order)],
+                picked + [_root_first(t, order)],
             )
             if got is not None:
                 return got
@@ -278,7 +271,6 @@ def brute_force_wwf(t: Tournament) -> Wwf | None:
     found = search(set(t.players), sorted(t.in_neighbors), [])
     if found is None:
         return None
-    wwf = Wwf(trees=tuple(found))
-    if not is_wwf(t, wwf):
+    if not is_wwf(t, found):
         raise AssertionError("backtracker assembled an invalid forest")
-    return wwf
+    return tuple(found)

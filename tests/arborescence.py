@@ -1,29 +1,24 @@
-"""Binomial arborescences: the arc structure of a single-elimination win.
+"""Labeled binomial arborescences: the tests' independent view of a bracket.
 
 The champion of a 2**c bracket beats one opponent per round, and the opponent
 beaten in round r had itself won a sub-bracket of size 2**(r-1).  Drawing an
 arc from each match winner to its loser therefore yields a spanning binomial
 arborescence, and conversely any spanning binomial arborescence rooted at a
 player can be folded back into a seeding that player wins.
+
+The package holds every bracket tree as a root-first leaf order.  This module
+keeps the parent-map form as a reference the tests compare that against:
+``is_lba`` checks a tree's shape and arcs without playing a bracket,
+``merge_lbas`` with ``lba_to_seeding`` rebuilds what ``complete_wwf`` should
+return, and ``lba_to_seeding`` folds the tree ``gen_planted_yes`` plants.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import Seeding, Tournament, bracket_rounds
-
-__all__ = [
-    "Lba",
-    "is_lba",
-    "bracket_lba",
-    "seeding_to_lba",
-    "lba_to_seeding",
-    "arbitrary_lba",
-    "merge_lbas",
-]
+from tfpsolve import Seeding, Tournament, bracket_rounds
 
 
 @dataclass(frozen=True)
@@ -100,13 +95,6 @@ def bracket_lba(t: Tournament, order: Sequence[int]) -> Lba:
     return Lba(root=rounds[-1][0][0] if rounds else order[0], parent=parent)
 
 
-def seeding_to_lba(t: Tournament, s: Seeding) -> Lba:
-    """Spanning arborescence of the bracket ``s``."""
-    if s.n != t.n:
-        raise ValueError(f"seeding over {s.n} players does not fit n={t.n}")
-    return bracket_lba(t, s.leaf_order)
-
-
 def lba_to_seeding(l: Lba) -> Seeding:
     """Fold a spanning arborescence back into a seeding its root wins."""
     return Seeding(tuple(_leaf_order(l)))
@@ -139,16 +127,6 @@ def _fill(u: int, kids: list[int], children: dict[int, list[int]]) -> list[int]:
     if not kids:
         return [u]
     return _fill(u, kids[:-1], children) + _fill(kids[-1], children[kids[-1]], children)
-
-
-def arbitrary_lba(t: Tournament, x: Iterable[int]) -> Lba:
-    """Arborescence over the player set ``x`` from a fixed (ascending) bracket."""
-    xs = sorted(set(map(operator.index, x)))  # plain ints, as in ``Tournament``
-    if not xs or len(xs) & (len(xs) - 1):
-        raise ValueError(f"block size {len(xs)} is not a power of two")
-    if not all(0 <= v < t.n for v in xs):
-        raise ValueError("block contains unknown players")
-    return bracket_lba(t, xs)
 
 
 def merge_lbas(t: Tournament, a: Lba, b: Lba) -> Lba:

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from arborescence import bracket_lba, is_lba, lba_to_seeding
 from conftest import tournament_from_bits
 
 import tfpsolve
@@ -24,16 +25,12 @@ from tfpsolve import (
     format_tournament,
     gen_planted_yes,
     gen_random,
-    is_lba,
-    lba_to_seeding,
     niceness,
     repair_to_nice,
-    seeding_to_lba,
     simulate,
     solve,
     solve_exact,
 )
-from tfpsolve.arborescence import _leaf_order
 
 
 def _report(num: int, label: str, elapsed: float | None = None, budget: float | None = None) -> None:
@@ -101,8 +98,8 @@ def test_criterion_4_wwf_equivalence_n16():
         w = brute_force_wwf(t)
         assert (w is not None) == (solve_exact(t) is not None)
         if w is not None:
-            s = complete_wwf(t, [_leaf_order(tree) for tree in w.trees])
-            full = seeding_to_lba(t, s)
+            s = complete_wwf(t, w)
+            full = bracket_lba(t, s.leaf_order)
             assert full.root == t.vstar
             assert full.vertices == frozenset(t.players)
             assert is_lba(t, full)
@@ -141,13 +138,17 @@ def test_criterion_6_local_lba_n16():
         if s is None:
             continue
         fixed, _ = repair_to_nice(t, s)
-        full = seeding_to_lba(t, fixed)
+        full = bracket_lba(t, fixed.leaf_order)
         allowed = {t.vstar} | t.out_neighbors
         for b in sorted(t.in_neighbors):
-            sub = extract_local_lba(t, full, b)
-            assert len(sub.vertices) == 2**k
-            assert b in sub.vertices
-            assert sub.root in allowed
+            block = extract_local_lba(t, fixed, b)
+            assert len(set(block)) == len(block) == 2**k
+            assert b in block
+            assert block[0] in allowed
+            # the block's bracket is the full bracket's arborescence cut to it
+            sub = bracket_lba(t, block)
+            assert sub.root == block[0] and is_lba(t, sub)
+            assert sub.parent == {v: full.parent[v] for v in block[1:]}
         collected += 1
     _report(6, "local-lba extraction on 100 nice n=16 witnesses")
 

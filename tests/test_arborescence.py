@@ -1,20 +1,11 @@
 import gc
 
 import pytest
+from arborescence import Lba, bracket_lba, is_lba, lba_to_seeding, merge_lbas
 from conftest import tournaments
 from hypothesis import given
 
-from tfpsolve import (
-    Lba,
-    Seeding,
-    arbitrary_lba,
-    bracket_lba,
-    champion_of,
-    is_lba,
-    lba_to_seeding,
-    merge_lbas,
-    seeding_to_lba,
-)
+from tfpsolve import Seeding, champion_of
 
 T4_LBA = Lba(root=0, parent={1: 0, 3: 0, 2: 3})
 
@@ -47,12 +38,8 @@ class TestIsLba:
 
 class TestSeedingConversions:
     def test_seeding_to_lba(self, t4_yes):
-        lba = seeding_to_lba(t4_yes, Seeding((0, 1, 2, 3)))
+        lba = bracket_lba(t4_yes, Seeding((0, 1, 2, 3)).leaf_order)
         assert lba == Lba(root=0, parent={1: 0, 2: 3, 3: 0})
-
-    def test_seeding_to_lba_rejects_other_size(self, t4_yes):
-        with pytest.raises(ValueError, match="seeding over 2 players does not fit n=4"):
-            seeding_to_lba(t4_yes, Seeding((1, 0)))
 
     def test_bracket_lba_on_subset(self, t4_yes):
         assert bracket_lba(t4_yes, [3, 1]) == Lba(root=1, parent={3: 1})
@@ -79,22 +66,21 @@ class TestSeedingConversions:
 
     @given(tournaments())
     def test_round_trip_from_seeding(self, t):
-        s = Seeding(tuple(range(t.n)))
-        lba = seeding_to_lba(t, s)
+        lba = bracket_lba(t, range(t.n))
         assert is_lba(t, lba)
         back = lba_to_seeding(lba)
         # same champion and same tree, though leaf order may be a sibling flip
         assert champion_of(t, back.leaf_order) == lba.root
-        assert seeding_to_lba(t, back) == lba
+        assert bracket_lba(t, back.leaf_order) == lba
 
 
 class TestArbitraryAndMerge:
     def test_arbitrary_lba_pair(self, t4_yes):
-        assert arbitrary_lba(t4_yes, [2, 1]) == Lba(root=1, parent={2: 1})
+        assert bracket_lba(t4_yes, [2, 1]) == Lba(root=1, parent={2: 1})
 
     def test_arbitrary_lba_requires_power_of_two(self, t4_yes):
-        with pytest.raises(ValueError):
-            arbitrary_lba(t4_yes, [0, 1, 2])
+        with pytest.raises(ValueError, match="leaf count 3 is not a power of two"):
+            bracket_lba(t4_yes, [0, 1, 2])
 
     def test_merge_singletons(self, t4_yes):
         a, b = Lba(root=0, parent={}), Lba(root=1, parent={})
@@ -109,8 +95,8 @@ class TestArbitraryAndMerge:
             merge_lbas(t4_yes, Lba(root=0, parent={}), Lba(root=0, parent={}))
 
     def test_merge_pair_trees(self, t4_yes):
-        a = arbitrary_lba(t4_yes, [0, 1])
-        b = arbitrary_lba(t4_yes, [2, 3])
+        a = bracket_lba(t4_yes, [0, 1])
+        b = bracket_lba(t4_yes, [2, 3])
         merged = merge_lbas(t4_yes, a, b)
         assert merged.root == 0 and is_lba(t4_yes, merged)
         assert merged.vertices == {0, 1, 2, 3}

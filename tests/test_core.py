@@ -12,16 +12,19 @@ from tfpsolve import (
     ParseError,
     Seeding,
     Tournament,
-    arbitrary_lba,
     bracket_rounds,
+    brute_force_wwf,
     champion_of,
     complete_wwf,
+    extract_local_lba,
     find_wwf,
     format_tournament,
     format_trace,
     gen_planted_yes,
     gen_random,
+    is_wwf,
     parse_tournament,
+    repair_to_nice,
     seeding_from_sequence,
     simulate,
     validate_match_sequence,
@@ -623,9 +626,22 @@ class TestSeeding:
         order = np.arange(64)
         assert champion_of(t, order) == champion_of(t, range(64))
         assert bracket_rounds(t, order) == bracket_rounds(t, range(64))
-        tree = arbitrary_lba(t, order)
-        assert tree == arbitrary_lba(t, range(64))
-        assert all(type(v) is int for v in (tree.root, *tree.parent, *tree.parent.values()))
+        # the oracles take numpy ids too, and hand back plain ints
+        t, s = gen_planted_yes(64, 2, seed=0)
+        nice, _ = repair_to_nice(t, s)
+        for b in t.in_neighbors:
+            block = extract_local_lba(t, nice, np.int64(b))
+            assert block == extract_local_lba(t, nice, b)
+            assert all(type(v) is int for v in block)
+        (tree,) = find_wwf(t)
+        assert is_wwf(t, [np.array(tree, np.int64)])
+        assert not is_wwf(t, [np.array(tree[:-1] + (64,), np.int64)])
+        t = gen_random(16, 2, seed=3)
+        forest = brute_force_wwf(t)
+        assert all(type(v) is int for tree in forest for v in tree)
+        numpy_forest = [np.array(tree, np.int64) for tree in forest]
+        assert is_wwf(t, numpy_forest)
+        assert complete_wwf(t, numpy_forest) == complete_wwf(t, forest)
         # numpy ids in a witness forest used to be shifted as int64 at n >= 64
         for seed in range(6):
             t, _ = gen_planted_yes(128, 2, seed=seed)

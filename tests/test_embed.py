@@ -3,18 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from arborescence import Lba, bracket_lba, is_lba
 from conftest import tournaments
 from hypothesis import given, settings
 
 from tfpsolve import (
-    Lba,
     Seeding,
     Tournament,
     brute_force_decide,
     gen_planted_yes,
     gen_random,
-    is_lba,
-    seeding_to_lba,
     solve_exact,
 )
 from tfpsolve.embed import EXACT_MAX_N, _split_levels, _winners_table
@@ -65,7 +63,7 @@ class TestSolveExact:
     def test_reference_yes(self, t4_yes):
         s = solve_exact(t4_yes)
         assert s == Seeding((0, 1, 3, 2))
-        assert seeding_to_lba(t4_yes, s) == Lba(root=0, parent={3: 0, 1: 0, 2: 3})
+        assert bracket_lba(t4_yes, s.leaf_order) == Lba(root=0, parent={3: 0, 1: 0, 2: 3})
 
     def test_reference_no(self, t4_no):
         assert solve_exact(t4_no) is None
@@ -149,7 +147,7 @@ class TestSolveExact:
         winning = brute_force_decide(t)
         assert (s is None) == (winning is None)
         if s is not None:
-            lba = seeding_to_lba(t, s)
+            lba = bracket_lba(t, s.leaf_order)
             assert lba.root == t.vstar
             assert is_lba(t, lba)
             assert lba.vertices == set(range(t.n))

@@ -9,17 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from arborescence import Lba, bracket_lba, is_lba, lba_to_seeding, merge_lbas
 from conftest import T4_YES_TEXT, tournaments
 from hypothesis import given, settings
 
 import tfpsolve
 from tfpsolve import (
-    Lba,
     Seeding,
-    arbitrary_lba,
     Tournament,
-    Wwf,
-    bracket_lba,
     brute_force_decide,
     brute_force_wwf,
     champion_of,
@@ -27,12 +24,8 @@ from tfpsolve import (
     find_wwf,
     gen_planted_yes,
     gen_random,
-    is_lba,
     is_wwf,
-    lba_to_seeding,
-    merge_lbas,
     pick,
-    seeding_to_lba,
     solve,
     solve_exact,
 )
@@ -252,23 +245,11 @@ class TestMultiplierFlag:
         _check_multiplier(argparse.Namespace(multiplier=20.0))
 
 
-def as_wwf(t: Tournament, trees: tuple[tuple[int, ...], ...]) -> Wwf:
-    """The oracle's view of a forest of leaf orders: each order's bracket
-    tree, padded to k trees with ascending brackets over the lowest
-    leftover players."""
-    size = 1 << t.k
-    lbas = [bracket_lba(t, order) for order in trees]
-    rest = sorted(set(t.players).difference(*trees))
-    lbas += [arbitrary_lba(t, rest[i * size : (i + 1) * size]) for i in range(t.k - len(lbas))]
-    return Wwf(trees=tuple(lbas))
-
-
 class TestFindWwf:
     def test_reference_forest(self, t4_yes):
         w = find_wwf(t4_yes)
-        assert w == ((1, 2),)
-        wwf = as_wwf(t4_yes, w)
-        assert wwf == Wwf(trees=(Lba(root=1, parent={2: 1}),)) and is_wwf(t4_yes, wwf)
+        assert w == ((1, 2),) and is_wwf(t4_yes, w)
+        assert bracket_lba(t4_yes, w[0]) == Lba(root=1, parent={2: 1})
 
     def test_agrees_with_oracles(self):
         nos = split = 0
@@ -278,12 +259,10 @@ class TestFindWwf:
             expect = brute_force_wwf(t)
             assert (w is None) == (expect is None) == (solve_exact(t) is None), i
             if w is not None:
-                wwf = as_wwf(t, w)
-                assert [tree.root for tree in wwf.trees[: len(w)]] == [o[0] for o in w], i
-                assert is_wwf(t, wwf), i
+                assert is_wwf(t, w), i
                 # the oracle's forest may split the conquerors across two
                 # trees, the premise of the lemma in find_wwf's docstring
-                split += not any(t.in_neighbors <= tree.vertices for tree in expect.trees)
+                split += not any(t.in_neighbors <= set(tree) for tree in expect)
             nos += w is None
         assert 10 < nos < 50  # both outcomes exercised
         assert split > 0
@@ -351,7 +330,7 @@ def merge_chain(t: Tournament, forest: list[Lba]) -> Seeding:
     covered = set().union(*(tree.vertices for tree in forest))
     rest = sorted(set(t.players) - covered)
     trees = list(forest)
-    trees += [arbitrary_lba(t, rest[lo : lo + size]) for lo in range(0, len(rest), size)]
+    trees += [bracket_lba(t, rest[lo : lo + size]) for lo in range(0, len(rest), size)]
     while len(trees) > 1:
         trees = [merge_lbas(t, a, b) for a, b in zip(trees[::2], trees[1::2])]
     return lba_to_seeding(trees[0])
@@ -392,11 +371,21 @@ class TestCompleteWwf:
         with pytest.raises(AssertionError, match=f"^{message}$"):
             complete_wwf(t4_yes, trees)
 
+    @pytest.mark.parametrize("bad", [4, -1])
+    @pytest.mark.parametrize("where", ["root", "leaf"])
+    def test_rejects_unknown_player(self, t4_yes, bad, where):
+        # checked before any shift: n as a root used to index past the rows,
+        # -1 to shift by a negative count, and n as a leaf to fail the crown check
+        trees = [(bad, 2) if where == "root" else (1, bad)]
+        with pytest.raises(ValueError, match=f"^witness trees name player {bad}, not one of the 4 players$"):
+            complete_wwf(t4_yes, trees)
+        assert not is_wwf(t4_yes, trees)
+
     def test_guard_survives_optimize_flag(self):
         # the forest guards raise explicitly, so `python -O` keeps them
         script = (
             "from tfpsolve import Seeding, complete_wwf, extract_local_lba\n"
-            "from tfpsolve import gen_random, parse_tournament, seeding_to_lba\n"
+            "from tfpsolve import gen_random, parse_tournament\n"
             f"t = parse_tournament({T4_YES_TEXT!r})\n"
             "for trees in [((1, 2), (3, 2)), ((1, 2, 3),), ((2, 1),), ((1, 2), (3, 0))]:\n"
             "    try:\n"
@@ -405,7 +394,7 @@ class TestCompleteWwf:
             "        print(exc)\n"
             "t = gen_random(8, 1, seed=0)\n"
             "try:\n"
-            "    extract_local_lba(t, seeding_to_lba(t, Seeding(tuple(range(8)))), 6)\n"
+            "    extract_local_lba(t, Seeding(tuple(range(8))), 6)\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n"
         )
@@ -425,7 +414,7 @@ class TestCompleteWwf:
     def test_empty_forest_spans_k0_instance(self):
         t = gen_random(8, 0, seed=3)
         s = complete_wwf(t, ())
-        full = seeding_to_lba(t, s)
+        full = bracket_lba(t, s.leaf_order)
         assert full.root == 0 and full.vertices == set(range(8)) and is_lba(t, full)
         assert lba_to_seeding(full) == s
 

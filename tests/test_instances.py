@@ -3,15 +3,14 @@ import itertools
 
 import numpy as np
 import pytest
+from arborescence import Lba, lba_to_seeding
 
 from tfpsolve import (
-    Lba,
     Seeding,
     champion_of,
     format_tournament,
     gen_planted_yes,
     gen_random,
-    lba_to_seeding,
     niceness,
     parse_tournament,
     simulate,

@@ -1,24 +1,22 @@
 import pytest
+from arborescence import Lba, bracket_lba, is_lba, lba_to_seeding
 from conftest import tournaments
 from hypothesis import given, settings
 
 from tfpsolve import (
-    Lba,
     OracleLimitError,
     Seeding,
     Tournament,
-    Wwf,
     brute_force_decide,
     brute_force_wwf,
     champion_of,
     enumerate_seedings,
     extract_local_lba,
+    find_wwf,
     gen_random,
-    is_lba,
     is_wwf,
     niceness,
     repair_to_nice,
-    seeding_to_lba,
     simulate,
     solve_exact,
 )
@@ -130,68 +128,96 @@ class TestExtractLocalLba:
         self.t = Tournament(n=8, vstar=0, out_masks=tuple(out))
         assert self.t.in_neighbors == frozenset({3, 7})
         assert is_lba(self.t, self.full)
+        self.s = lba_to_seeding(self.full)
+        assert self.s == Seeding(tuple(range(8)))
 
     def test_carve_near_root(self):
-        sub = extract_local_lba(self.t, self.full, 3)
-        assert sub == Lba(root=0, parent={1: 0, 2: 0, 3: 2})
-        assert sub.size == 4 and 3 in sub.vertices
+        sub = extract_local_lba(self.t, self.s, 3)
+        assert sub == (0, 1, 2, 3)
+        assert bracket_lba(self.t, sub) == Lba(root=0, parent={1: 0, 2: 0, 3: 2})
 
     def test_carve_inner_subtree(self):
-        sub = extract_local_lba(self.t, self.full, 7)
-        assert sub == Lba(root=4, parent={5: 4, 6: 4, 7: 6})
-        assert sub.root not in self.t.in_neighbors
+        sub = extract_local_lba(self.t, self.s, 7)
+        assert bracket_lba(self.t, sub) == Lba(root=4, parent={5: 4, 6: 4, 7: 6})
+        assert sub[0] == 4 and sub[0] not in self.t.in_neighbors
+
+    def test_block_comes_root_first(self):
+        # the block (5, 4, 7, 6) is won by 4, whose half goes left each round
+        s = Seeding((0, 1, 2, 3, 5, 4, 7, 6))
+        assert extract_local_lba(self.t, s, 7) == (4, 5, 6, 7)
 
     def test_rejects_foreign_vertex(self):
         with pytest.raises(ValueError):
-            extract_local_lba(self.t, self.full, 9)
+            extract_local_lba(self.t, self.s, 9)
+
+    def test_rejects_other_size(self, t4_yes):
+        with pytest.raises(ValueError, match="seeding over 2 players does not fit n=4"):
+            extract_local_lba(t4_yes, Seeding((1, 0)), 1)
+
+    def test_rejects_block_larger_than_seeding(self):
+        t = gen_random(4, 3, seed=0)  # a block of 8 players
+        with pytest.raises(ValueError, match="smaller than one block"):
+            extract_local_lba(t, Seeding((0, 1, 2, 3)), 1)
 
 
 class TestIsWwf:
     def test_reference(self, t4_yes):
-        assert is_wwf(t4_yes, Wwf(trees=(Lba(root=1, parent={2: 1}),)))
-        assert is_wwf(t4_yes, [Lba(root=3, parent={2: 3}),])
+        assert is_wwf(t4_yes, ((1, 2),))
+        assert is_wwf(t4_yes, [(3, 2),])
 
     def test_wrong_count(self, t4_yes):
         assert not is_wwf(t4_yes, [])
+        assert not is_wwf(t4_yes, [(1, 2), (0, 3)])  # two trees at k = 1
 
     def test_wrong_size(self, t4_yes):
-        assert not is_wwf(t4_yes, [Lba(root=1, parent={})])
+        assert not is_wwf(t4_yes, [(1,)])
+        assert champion_of(t4_yes, (0, 1, 3, 2)) == 0
+        assert not is_wwf(t4_yes, [(0, 1, 3, 2)])  # a good tree, but on 4 players at k = 1
+
+    def test_root_must_win(self, t4_yes):
+        # the favorite may root a tree, but 2 beats it
+        assert not is_wwf(t4_yes, [(0, 2)])
 
     def test_uncovered_conqueror(self, t4_yes):
-        assert not is_wwf(t4_yes, [Lba(root=1, parent={3: 1})])
+        assert not is_wwf(t4_yes, [(1, 3)])
 
     def test_root_is_conqueror(self):
         t = gen_random(8, 1, seed=0)
         b = min(t.in_neighbors)  # player 6
         y = next(v for v in sorted(t.out_neighbors) if t.beats(b, v))
-        bad = Lba(root=b, parent={y: b})
-        assert is_lba(t, bad)  # a perfectly good tree, rooted in the wrong set
-        assert not is_wwf(t, [bad])
+        assert champion_of(t, (b, y)) == b  # a perfectly good tree, rooted in the wrong set
+        assert not is_wwf(t, [(b, y)])
 
     def test_overlapping_trees(self):
         t = gen_random(16, 2, seed=3)
-        w = brute_force_wwf(t)
-        assert w is not None and t.k == 2
-        assert not is_wwf(t, (w.trees[0], w.trees[0]))
+        (tree,) = find_wwf(t)
+        assert t.k == 2 and is_wwf(t, [tree])
+        assert not is_wwf(t, (tree, tree))
 
     def test_favorite_must_be_root(self):
-        # build a tree containing the favorite below the root: invalid
-        t = gen_random(8, 1, seed=2)
-        b = min(t.in_neighbors)
-        helper = next(v for v in t.out_neighbors if t.beats(v, b)) if any(
-            t.beats(v, b) for v in t.out_neighbors
-        ) else None
-        if helper is not None:
-            assert not is_wwf(t, [Lba(root=helper, parent={0: helper})])
+        # r beats both conquerors u and w, and w beats the favorite: the tree
+        # (r, u, w, favorite) meets every condition but the favorite's place
+        t = gen_random(16, 2, seed=0)
+        u, w = sorted(t.in_neighbors)
+        r = min(v for v in t.out_neighbors if t.beats(v, u) and t.beats(v, w))
+        tree = (r, u, w, t.vstar)
+        assert champion_of(t, tree) == r and r not in t.in_neighbors
+        assert not is_wwf(t, [tree])
+
+    def test_fewer_trees_than_k(self):
+        # one tree holding both conquerors is a forest at k = 2
+        t = gen_random(16, 2, seed=3)
+        (tree,) = find_wwf(t)
+        assert t.in_neighbors <= set(tree) and is_wwf(t, [tree])
 
 
 class TestBruteForceWwf:
     def test_reference(self, t4_yes):
-        assert brute_force_wwf(t4_yes) == Wwf(trees=(Lba(root=1, parent={2: 1}),))
+        assert brute_force_wwf(t4_yes) == ((1, 2),)
 
     def test_k0_is_empty_forest(self):
         t = gen_random(8, 0, seed=0)
-        assert brute_force_wwf(t) == Wwf(trees=())
+        assert brute_force_wwf(t) == ()
 
     def test_regime_guard(self, t4_no):
         with pytest.raises(ValueError):
