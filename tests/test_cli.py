@@ -260,10 +260,11 @@ class TestCheckStructure:
             capsys, "check-structure", str(p), "--seeding", "0 1 2 3 4 5 6 7"
         )
         assert code == 0
-        assert "round 1: not-nice\n" in out
-        assert "repair rounds: 1\n" in out
-        assert "repaired nice: yes\n" in out
-        assert out.endswith("conqueror-elimination-check: pass\n")
+        assert out == (
+            "winning: yes\nround 1: not-nice\nround 2: nice\nround 3: nice\nnice: no\n"
+            "repaired seeding: 0 3 4 6 7 5 1 2\nrepair rounds: 1\nrepaired nice: yes\n"
+            "conquerors after round 1: 0\nconqueror-elimination-check: pass\n"
+        )
 
     def test_losing_seeding(self, capsys, yes_file):
         code, out, _ = run(capsys, "check-structure", yes_file, "--seeding", "0 2 1 3")
