@@ -7,7 +7,8 @@ the instance format and simulation, ``embed``/``indeg`` for the solvers,
 ``oracles`` for exhaustive baselines and structural checks, and ``cli`` for
 the command-line entry point.  Every bracket tree, in the solvers and the
 oracles alike, is held as the leaf order of a bracket its root wins, root
-first.
+first, and the package builds no match schedule except as output
+(``simulate``, ``bracket_rounds``, ``format_trace``).
 """
 
 from .core import (
@@ -20,9 +21,7 @@ from .core import (
     format_tournament,
     format_trace,
     parse_tournament,
-    seeding_from_sequence,
     simulate,
-    validate_match_sequence,
 )
 from .embed import solve_exact
 from .indeg import complete_wwf, find_wwf, pick, solve
@@ -65,9 +64,7 @@ __all__ = [
     "parse_tournament",
     "pick",
     "repair_to_nice",
-    "seeding_from_sequence",
     "simulate",
     "solve",
     "solve_exact",
-    "validate_match_sequence",
 ]

@@ -231,8 +231,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError, AssertionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, ValueError, OSError, AssertionError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

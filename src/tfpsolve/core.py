@@ -50,8 +50,6 @@ __all__ = [
     "bracket_rounds",
     "champion_of",
     "simulate",
-    "validate_match_sequence",
-    "seeding_from_sequence",
     "format_trace",
 ]
 
@@ -515,8 +513,16 @@ def _check_row(i: int, rows: list[str], n: int, lineno: int) -> None:
 
 
 def format_tournament(t: Tournament, comments: Iterable[str] = ()) -> str:
-    """Render a tournament in the TFP v1 format parsed by parse_tournament."""
-    out = [f"# {c}\n" for c in comments]
+    """Render a tournament in the TFP v1 format parsed by parse_tournament.
+
+    Each comment becomes one '# ' line, so a comment that ``str.splitlines``
+    would split raises ValueError: its second line would be read as content.
+    """
+    out = []
+    for c in comments:
+        if "".join(c.splitlines()) != c:
+            raise ValueError(f"comment {c!r} holds a line break")
+        out.append(f"# {c}\n")
     out.append(f"TFP v1\nn={t.n} vstar={t.vstar}\n")
     for lo in range(0, t.n, _BLOCK):
         rows = _strip(t._rows[lo : lo + _BLOCK], 0, t.n)
@@ -555,6 +561,15 @@ def _round(t: Tournament, blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]
     return [a + b if out[a[0]] >> b[0] & 1 else b + a for a, b in zip(blocks[::2], blocks[1::2])]
 
 
+def _fold(t: Tournament, blocks: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Play a power-of-two count of equal-size blocks, each led by its
+    winner, down to one block: the leaf order of the whole bracket, its
+    winner first."""
+    while len(blocks) > 1:
+        blocks = _round(t, blocks)
+    return blocks[0]
+
+
 def simulate(t: Tournament, s: Seeding) -> KnockoutTrace:
     """Play out the bracket given by ``s`` and record every round."""
     if s.n != t.n:
@@ -574,56 +589,6 @@ def simulate(t: Tournament, s: Seeding) -> KnockoutTrace:
         losers=tuple(losers),
         champion=champ,
     )
-
-
-def validate_match_sequence(
-    t: Tournament, rounds: Sequence[Iterable[Match]]
-) -> bool:
-    """Check that ``rounds`` is a playable knockout schedule for ``t``.
-
-    Round r must hold n / 2**r matches on distinct players, every match must
-    be oriented along an arc of ``t``, round 1 must cover all players, and
-    each later round must be contested by exactly the previous winners.
-    """
-    if len(rounds) != t.num_rounds:
-        return False
-    expected = set(t.players)
-    for r, matches in enumerate(rounds, start=1):
-        matches = list(matches)
-        if len(matches) != t.n >> r:
-            return False
-        seen: set[int] = set()
-        for w, l in matches:
-            if w in seen or l in seen or w == l:
-                return False
-            seen.update((w, l))
-            if not (0 <= w < t.n and 0 <= l < t.n and t.beats(w, l)):
-                return False
-        if seen != expected:
-            return False
-        expected = {w for w, _ in matches}
-    return True
-
-
-def seeding_from_sequence(rounds: Sequence[Iterable[Match]]) -> Seeding:
-    """Rebuild a seeding whose simulation replays ``rounds``.
-
-    Folds the schedule round by round: each match's winner keeps its block
-    on the left and the loser's block fills the right half.  A loop, not a
-    recursive closure, which would be a reference cycle holding the whole
-    schedule until the cyclic garbage collector runs.
-    """
-    schedule = [dict(matches) for matches in rounds]
-    if not schedule:
-        raise ValueError("cannot rebuild a seeding from an empty schedule")
-    if len(schedule[-1]) != 1:
-        raise ValueError("final round must hold exactly one match")
-    block: dict[int, tuple[int, ...]] = {}
-    for matches in schedule:
-        for w, l in matches.items():
-            block[w] = block.pop(w, (w,)) + block.pop(l, (l,))
-    (champion,) = schedule[-1]
-    return Seeding(block[champion])
 
 
 def format_trace(trace: KnockoutTrace) -> str:

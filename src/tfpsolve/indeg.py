@@ -43,7 +43,7 @@ import itertools
 import operator
 from typing import Sequence
 
-from .core import Seeding, Tournament, _players, _round, champion_of
+from .core import Seeding, Tournament, _fold, _players, _round, champion_of
 from .embed import EXACT_MAX_N, solve_exact
 from .oracles import brute_force_decide
 
@@ -193,12 +193,10 @@ def complete_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> Seeding:
     blocks = [(v,) for v in range(t.n) if not covered >> v & 1]
     for _ in range(t.k):
         blocks = _round(t, blocks)
-    blocks = [tuple(map(operator.index, order)) for order in trees] + blocks
-    while len(blocks) > 1:
-        blocks = _round(t, blocks)
-    if blocks[0][0] != t.vstar:
+    order = _fold(t, [tuple(map(operator.index, tree)) for tree in trees] + blocks)
+    if order[0] != t.vstar:
         raise AssertionError("completion lost the favorite")
-    return Seeding(blocks[0])
+    return Seeding(order)
 
 
 def pick(t: Tournament, algo: str = "auto") -> str:

@@ -2,31 +2,20 @@
 
 Everything here favors being obviously correct over being fast: seedings are
 enumerated one bracket-equivalence class at a time, witness forests are found
-by straight backtracking, and the niceness/repair machinery manipulates
-explicit match lists.  Hard player caps raise ``OracleLimitError`` before a
+by straight backtracking, and the niceness repair regroups the blocks of a
+partly played bracket.  Hard player caps raise ``OracleLimitError`` before a
 call can silently take hours.  A bracket tree is held as in the solvers: the
-leaf order of a bracket its root wins, root first.
+leaf order of a bracket its root wins, root first, and ``core._fold`` builds
+it from blocks.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import (
-    KnockoutTrace,
-    Match,
-    Seeding,
-    Tournament,
-    _round,
-    bracket_rounds,
-    champion_of,
-    seeding_from_sequence,
-    simulate,
-    validate_match_sequence,
-)
+from .core import KnockoutTrace, Seeding, Tournament, _fold, _round, champion_of, simulate
 
 __all__ = [
     "OracleLimitError",
@@ -105,12 +94,23 @@ def niceness(t: Tournament, trace: KnockoutTrace) -> NicenessReport:
 def repair_to_nice(t: Tournament, s: Seeding) -> tuple[Seeding, int]:
     """Rewrite a winning seeding until every round is nice.
 
-    Returns (seeding, number of rewrites).  Each rewrite locates the last
-    non-nice round, pulls its losers W out (none of them beat the favorite,
-    by non-niceness), replays W as its own side bracket overlaid onto the
-    later rounds, and gives the favorite the W-champion as a bonus final.
-    That leaves earlier rounds untouched and makes every round from the
-    rewritten one onward nice, so at most log2(n) rewrites happen.
+    Returns (seeding, number of rewrites).  Each rewrite finds the last
+    round p that is not nice and plays the first p rounds.  That leaves
+    blocks of 2**p leaves, one per round-p match, each the winner's
+    sub-bracket, root first, followed by the loser's.  The winners' halves
+    go on the left in their order and the losers' halves on the right,
+    sorted by leader, and the two sides are folded root first.  The left
+    side replays rounds p+1 onward on the same players, so the favorite
+    wins it.  The right side is a bracket on the round-p losers W.  A round
+    that is not nice eliminates no conqueror, so nobody in W beats the
+    favorite, and the favorite wins the new final against W's winner.
+
+    Rounds 1..p-1 are untouched.  Each new round q with p <= q < log2(n)
+    holds the old round q+1's matches and W's round q-p+1.  W holds no
+    conqueror, so the same conquerors start round q and fall in it as in
+    the old round q+1, which was nice.  The new final is nice because no
+    conqueror outlasted the old final.  So the last non-nice round moves
+    earlier with each rewrite, and at most log2(n) rewrites happen.
     """
     trace = simulate(t, s)
     if trace.champion != t.vstar:
@@ -125,19 +125,18 @@ def repair_to_nice(t: Tournament, s: Seeding) -> tuple[Seeding, int]:
         p = max(i for i, ok in enumerate(rep.per_round) if not ok) + 1
         if p >= total:
             raise AssertionError("the final round of a winning bracket is always nice")
-        w = sorted(trace.losers[p - 1])
-        if t.vstar in w or t.in_neighbors.intersection(w):
-            raise AssertionError("a non-nice round eliminated the favorite or a conqueror")
-        w_rounds = bracket_rounds(t, w)
-        new_rounds: list[list[Match]] = [list(r) for r in trace.rounds[: p - 1]]
-        for q in range(p, total):
-            new_rounds.append(list(trace.rounds[q]) + w_rounds[q - p])
-        new_rounds.append([(t.vstar, champion_of(t, w))])
-        if not validate_match_sequence(t, new_rounds):
-            raise AssertionError("rewrite broke the schedule")
-        cur = seeding_from_sequence(new_rounds)
+        blocks = [(v,) for v in cur.leaf_order]
+        for _ in range(p):
+            blocks = _round(t, blocks)
+        half = len(blocks[0]) // 2
+        lost = sorted(b[half:] for b in blocks)
+        if t.in_neighbors.intersection(b[0] for b in lost):
+            raise AssertionError("a non-nice round eliminated a conqueror")
+        cur = Seeding(_fold(t, [b[:half] for b in blocks] + lost))
         trace = simulate(t, cur)
         count += 1
+        if trace.champion != t.vstar:
+            raise AssertionError("the rewrite lost the favorite")
         if count > total:
             raise AssertionError("repair failed to terminate")
 
@@ -165,19 +164,10 @@ def extract_local_lba(t: Tournament, s: Seeding, b: int) -> tuple[int, ...]:
     if b not in s.leaf_order:
         raise ValueError(f"player {b} is not in the seeding")
     lo = s.leaf_order.index(b) & -size
-    block = _root_first(t, s.leaf_order[lo : lo + size])
+    block = _fold(t, [(v,) for v in s.leaf_order[lo : lo + size]])
     if block[0] in t.in_neighbors:
         raise AssertionError("carving from a non-nice bracket")
     return block
-
-
-def _root_first(t: Tournament, order: Sequence[int]) -> tuple[int, ...]:
-    """The bracket over ``order`` as the leaf order its winner wins, winner
-    first: each match winner's half goes on the left."""
-    blocks = [(v,) for v in map(operator.index, order)]
-    while len(blocks) > 1:
-        blocks = _round(t, blocks)
-    return blocks[0]
 
 
 def is_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> bool:
@@ -262,7 +252,7 @@ def brute_force_wwf(t: Tournament) -> tuple[tuple[int, ...], ...] | None:
             got = search(
                 available - set(block),
                 [x for x in uncovered if x not in block],
-                picked + [_root_first(t, order)],
+                picked + [_fold(t, [(v,) for v in order])],
             )
             if got is not None:
                 return got

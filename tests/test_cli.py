@@ -210,6 +210,25 @@ class TestGen:
         run(capsys, "gen", str(b), "--n", "32", "--k", "3", "--seed", "11")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 8.00 TiB"), "Unable to allocate 8.00 TiB"),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_is_one_error_line(self, capsys, tmp_path, monkeypatch, exc, message):
+        # exit 1 means "cannot win"; a table too large to hold is an error
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("tfpsolve.cli.gen_random", fail)
+        out_path = tmp_path / "big.tfp"
+        code, out, err = run(capsys, "gen", str(out_path), "--n", "1099511627776", "--k", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_path.exists()
+
 
 class TestVerifySeeding:
     def test_winning(self, capsys, yes_file):

@@ -6,6 +6,7 @@ import pytest
 from conftest import T4_YES_TEXT, tournaments
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from schedules import seeding_from_sequence, validate_match_sequence
 
 from tfpsolve import (
     KnockoutTrace,
@@ -25,9 +26,7 @@ from tfpsolve import (
     is_wwf,
     parse_tournament,
     repair_to_nice,
-    seeding_from_sequence,
     simulate,
-    validate_match_sequence,
 )
 from tfpsolve.core import _check_packed, _packed, _parse_canonical, _parse_lines, _transpose
 
@@ -382,6 +381,24 @@ class TestParser:
     def test_round_trip(self, t4_yes):
         assert parse_tournament(format_tournament(t4_yes)) == t4_yes
 
+    def test_round_trip_with_comments(self, t4_yes):
+        text = format_tournament(t4_yes, comments=("plain comment", ""))
+        assert text.startswith("# plain comment\n# \nTFP v1\n")
+        assert parse_tournament(text) == t4_yes
+        assert parse_tournament(text.encode()) == t4_yes
+
+    # every boundary str.splitlines breaks at
+    @pytest.mark.parametrize(
+        "sep",
+        ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["LF", "CR", "CRLF", "VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+    )
+    def test_comment_with_line_break_is_rejected(self, t4_yes, sep):
+        # the text after a break would be read as the header
+        for comment in (f"x{sep}TFP v1", f"x{sep}"):
+            with pytest.raises(ValueError, match="holds a line break"):
+                format_tournament(t4_yes, comments=("ok", comment))
+
     def test_comments_and_blanks_keep_line_numbers(self):
         text = "# a comment\n\nTFP v1\n# another\nn=4 vstar=0\n0101\n0011\n1000\n0010\n"
         assert parse_tournament(text).out_masks == (10, 12, 1, 4)
@@ -713,7 +730,7 @@ class TestMatchSequences:
 
     def test_seeding_from_sequence_leaves_no_cyclic_garbage(self):
         # a recursive closure is a reference cycle that holds the schedule
-        # until a collection; repair_to_nice rebuilds once per rewrite
+        # until a collection; the reference repair rebuilds once per rewrite
         t = gen_random(64, 3, seed=2)
         trace = simulate(t, Seeding(tuple(range(64))))
         rounds = [list(r) for r in trace.rounds]

@@ -31,6 +31,7 @@ from tfpsolve import (
 )
 from tfpsolve.cli import _check_multiplier
 from tfpsolve.core import _strip
+from tfpsolve.embed import _split_levels, _winners_table
 from tfpsolve.indeg import _apart, _find
 
 
@@ -320,6 +321,23 @@ class TestFindWwf:
             find_wwf(t4_no)  # k * 2**k = 8 >= 4
         with pytest.raises(ValueError):
             find_wwf(gen_random(32, 3, seed=0))  # k = 3
+
+    def test_one_tree_decides_k3_at_n16(self):
+        # At n=16 the 8 players outside a tree that holds every conqueror
+        # hold none, so such a tree with an allowed winner crowns the
+        # favorite.  The converse is the k=3 one-tree lemma, on this size.
+        _, eights = _split_levels(16)[2]  # bracket sizes 2, 4, 8, 16
+        verdicts = set()
+        for seed in range(100):
+            for t in (biased(16, 3, seed), gadget(16, 3, seed), gen_random(16, 3, seed=seed)):
+                ins, fav = t.in_masks[t.vstar], 1 << t.vstar
+                sets = eights[eights & ins == ins]
+                # the favorite inside a tree must be its root; else any non-conqueror
+                allowed = np.where(sets & fav, fav, ~ins)
+                one_tree = bool((_winners_table(t)[sets] & allowed).any())
+                assert (solve_exact(t) is not None) == one_tree, seed
+                verdicts.add(one_tree)
+        assert verdicts == {False, True}
 
 
 def merge_chain(t: Tournament, forest: list[Lba]) -> Seeding:

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+import schedules
 from arborescence import Lba, bracket_lba, is_lba, lba_to_seeding
 from conftest import tournaments
 from hypothesis import given, settings
@@ -105,6 +107,23 @@ class TestRepair:
         assert champion_of(t, fixed.leaf_order) == t.vstar
         assert niceness(t, simulate(t, fixed)).all_nice
         assert rewrites <= t.num_rounds
+
+    def test_matches_schedule_reference(self):
+        # random seedings of random tables, each crowning its own champion:
+        # the favorite of gen_random(n, 1) loses once, so it often wins
+        # with one conqueror left standing, and about a quarter need repair
+        rng = np.random.default_rng(0)
+        rewritten = 0
+        for i in range(1050):
+            n = 2 << i % 7
+            t = gen_random(n, 1, seed=i)
+            order = rng.permutation(n)
+            t = Tournament(n, champion_of(t, order), t.out_masks)
+            s = Seeding(order)
+            got = repair_to_nice(t, s)
+            assert got == schedules.repair_to_nice(t, s)
+            rewritten += got[1] > 0
+        assert rewritten >= 100
 
 
 class TestExtractLocalLba:
