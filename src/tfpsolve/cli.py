@@ -23,6 +23,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -53,10 +54,18 @@ def _check_multiplier(args: argparse.Namespace) -> None:
         raise ValueError(f"iteration multiplier must be positive and finite, got {m}")
 
 
+def _integer(token: str) -> int:
+    """``int(token)`` for ASCII digits after an optional minus; int() alone
+    also reads "+7", "0_7" and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", token):
+        raise ValueError(token)
+    return int(token)
+
+
 def _read_seeding(args: argparse.Namespace, n: int) -> Seeding:
     text = args.seeding if args.seeding is not None else Path(args.seeding_file).read_text()
     try:
-        order = tuple(int(p) for p in text.split())
+        order = tuple(map(_integer, text.split()))
     except ValueError:
         raise ValueError("seeding must be whitespace-separated integers") from None
     if len(order) != n:
@@ -151,7 +160,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _seed(text: str) -> int:
     """argparse type of every ``--seed``: numpy's generators take no negative seed."""
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

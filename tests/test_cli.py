@@ -126,6 +126,18 @@ class TestDecide:
             assert "argument --seed: expected a non-negative integer, got '-1'" in out.err
         assert not (tmp_path / "g.tfp").exists()
 
+    @pytest.mark.parametrize(
+        "seed", ["\u0663", "+3", "3_0"], ids=["arabic_indic_digit", "plus_sign", "underscore"]
+    )
+    def test_seed_takes_ascii_digits_only(self, capsys, tmp_path, seed):
+        path = tmp_path / "g.tfp"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", str(path), "--n", "16", "--k", "2", "--seed", seed])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"argument --seed: expected a non-negative integer, got {seed!r}" in out.err
+        assert not path.exists()
+
 
 class TestSolve:
     def test_yes_prints_seeding_and_trace(self, capsys, yes_file):
@@ -251,9 +263,13 @@ class TestVerifySeeding:
         "seeding, err",
         [
             ("0 1 x 3", "error: seeding must be whitespace-separated integers\n"),
+            ("0 1 2 +3", "error: seeding must be whitespace-separated integers\n"),
+            ("0 1 2 0_3", "error: seeding must be whitespace-separated integers\n"),
+            ("0 1 2 \u0663", "error: seeding must be whitespace-separated integers\n"),
+            ("0 1 2 -3", "error: leaf_order is not a permutation of the players\n"),
             ("0 1 2", "error: seeding lists 3 players, tournament has 4\n"),
         ],
-        ids=["not_integers", "wrong_length"],
+        ids=["not_integers", "plus_sign", "underscore", "arabic_indic_digit", "negative", "wrong_length"],
     )
     def test_rejects_malformed_seeding(self, capsys, yes_file, seeding, err):
         assert run(capsys, "verify-seeding", yes_file, "--seeding", seeding) == (2, "", err)

@@ -326,7 +326,7 @@ class TestFindWwf:
         # At n=16 the 8 players outside a tree that holds every conqueror
         # hold none, so such a tree with an allowed winner crowns the
         # favorite.  The converse is the k=3 one-tree lemma, on this size.
-        _, eights = _split_levels(16)[2]  # bracket sizes 2, 4, 8, 16
+        eights = np.concatenate([sets for _, sets in _split_levels(16)[1]])  # all 12870
         verdicts = set()
         for seed in range(100):
             for t in (biased(16, 3, seed), gadget(16, 3, seed), gen_random(16, 3, seed=seed)):
@@ -334,7 +334,7 @@ class TestFindWwf:
                 sets = eights[eights & ins == ins]
                 # the favorite inside a tree must be its root; else any non-conqueror
                 allowed = np.where(sets & fav, fav, ~ins)
-                one_tree = bool((_winners_table(t)[sets] & allowed).any())
+                one_tree = bool((_winners_table(t.out_masks)[sets] & allowed).any())
                 assert (solve_exact(t) is not None) == one_tree, seed
                 verdicts.add(one_tree)
         assert verdicts == {False, True}
