@@ -29,6 +29,7 @@ EXACT_CASES = [
     (16, 11, 12, False),  # first winning top-level split: 648
     (16, 3, 0, False),
     (16, 13, 2, False),  # degree NO
+    (16, 3, 161, False),  # NO certified by the favorite's depth profile, not by its degree
     (8, 2, 0, False),
     (8, 4, 0, False),  # NO from the exact table
 ]
