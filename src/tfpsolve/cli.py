@@ -56,10 +56,16 @@ def _check_multiplier(args: argparse.Namespace) -> None:
 
 def _integer(token: str) -> int:
     """``int(token)`` for ASCII digits after an optional minus; int() alone
-    also reads "+7", "0_7" and non-ASCII digits."""
+    also reads "+7", "0_7", " 7" and non-ASCII digits."""
     if not re.fullmatch("-?[0-9]+", token):
         raise ValueError(token)
     return int(token)
+
+
+# argparse names a type in its message for a value the type refuses
+# ("invalid int value: 'x'"), so ``gen --n`` and ``--k`` keep the words of
+# ``type=int``
+_integer.__name__ = "int"
 
 
 def _read_seeding(args: argparse.Namespace, n: int) -> Seeding:
@@ -204,8 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate an instance file")
     g.add_argument("out")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
+    g.add_argument("--n", type=_integer, required=True)
+    g.add_argument("--k", type=_integer, required=True)
     g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--planted", action="store_true", help="guarantee YES and emit a .witness")
     g.set_defaults(func=cmd_gen)

@@ -346,7 +346,7 @@ class KnockoutTrace:
     champion: int
 
 
-_META_RE = re.compile(r"n=(\d+) vstar=(\d+)")
+_META_RE = re.compile("n=([0-9]+) vstar=([0-9]+)")  # \d would take any Unicode digit
 
 
 def parse_tournament(text: str | bytes) -> Tournament:
@@ -568,6 +568,40 @@ def _fold(t: Tournament, blocks: list[tuple[int, ...]]) -> tuple[int, ...]:
     while len(blocks) > 1:
         blocks = _round(t, blocks)
     return blocks[0]
+
+
+def _covered(t: Tournament, trees: Sequence[Sequence[int]]) -> int:
+    """The bitmask of the players in ``trees``; raises AssertionError unless
+    they form a witness forest, and ValueError for a player id outside
+    0..n-1.
+
+    The conditions, from ``indeg``'s module docstring, leaving out the count
+    of trees: each tree is a leaf order of 2**k distinct players that its
+    first player wins, the trees are disjoint, no root beats the favorite,
+    the favorite appears only as a root, and the trees hold every player
+    that beats the favorite.
+    """
+    ins, covered = t.in_masks[t.vstar], 0
+    for order in trees:
+        order = tuple(map(operator.index, order))  # numpy ids overflow the shifts
+        for v in order:
+            if not 0 <= v < t.n:
+                raise ValueError(f"witness trees name player {v}, not one of the {t.n} players")
+        mask = sum(1 << v for v in order)
+        if covered & mask:
+            raise AssertionError("witness trees overlap")
+        covered |= mask
+        if len(order) != 1 << t.k or mask.bit_count() != len(order):
+            raise AssertionError("witness trees have a wrong size")
+        if ins >> order[0] & 1:
+            raise AssertionError("a merge root fell inside the favorite's in-set")
+        if t.vstar in order[1:]:
+            raise AssertionError("the favorite must root exactly one tree")
+        if champion_of(t, order) != order[0]:
+            raise AssertionError("a witness tree does not crown its root")
+    if ins & ~covered:
+        raise AssertionError("the witness trees miss a player that beats the favorite")
+    return covered
 
 
 def simulate(t: Tournament, s: Seeding) -> KnockoutTrace:

@@ -31,19 +31,25 @@ the ``brute`` oracle, which runs unfiltered, the degree certificate comes
 first: a favorite that beats fewer than log2(n) players cannot win log2(n)
 matches, so the answer is NO.  Otherwise n <= 2**ell, and the out-degree
 parameterization is exact search; ``indeg`` takes the witness-forest search
-instead when k*2**k < n.  Each solver checks its own limit on entry, before
-any work, and raises one ValueError naming it.  The limits are n <=
-``EXACT_MAX_N`` for ``solve_exact``, k <= 2 for ``find_wwf``, and n <= 8
+instead when k*2**k < n.  Ahead of the exact table, up to ``EXACT_MAX_N``
+players, a second certificate runs: the favorite's depth profile, which
+answers NO when, for some d, fewer players lie within d arcs of the favorite
+than a bracket it wins needs (``solve``'s docstring carries the proof).
+``pick`` does not see it, so a NO it certifies prints the same lines as the
+table's NO and stdout is unchanged.  Each solver checks its own limit on
+entry, before any work, and raises one ValueError naming it.  The limits are
+n <= ``EXACT_MAX_N`` for ``solve_exact``, k <= 2 for ``find_wwf``, and n <= 8
 for the ``brute`` oracle's seeding enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import Sequence
 
-from .core import Seeding, Tournament, _fold, _players, _round, champion_of
+from .core import Seeding, Tournament, _covered, _fold, _players, _round, champion_of
 from .embed import EXACT_MAX_N, solve_exact
 from .oracles import brute_force_decide
 
@@ -152,33 +158,6 @@ def find_wwf(t: Tournament) -> tuple[Order, ...] | None:
     return (tree,)
 
 
-def _covered(t: Tournament, trees: Sequence[Sequence[int]]) -> int:
-    """The bitmask of the players in ``trees``; raises AssertionError unless
-    they form a witness forest (see the module docstring), and ValueError
-    for a player id outside 0..n-1."""
-    ins, covered = t.in_masks[t.vstar], 0
-    for order in trees:
-        order = tuple(map(operator.index, order))  # numpy ids overflow the shifts
-        for v in order:
-            if not 0 <= v < t.n:
-                raise ValueError(f"witness trees name player {v}, not one of the {t.n} players")
-        mask = sum(1 << v for v in order)
-        if covered & mask:
-            raise AssertionError("witness trees overlap")
-        covered |= mask
-        if len(order) != 1 << t.k or mask.bit_count() != len(order):
-            raise AssertionError("witness trees have a wrong size")
-        if ins >> order[0] & 1:
-            raise AssertionError("a merge root fell inside the favorite's in-set")
-        if t.vstar in order[1:]:
-            raise AssertionError("the favorite must root exactly one tree")
-        if champion_of(t, order) != order[0]:
-            raise AssertionError("a witness tree does not crown its root")
-    if ins & ~covered:
-        raise AssertionError("the witness trees miss a player that beats the favorite")
-    return covered
-
-
 def complete_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> Seeding:
     """Grow a witness forest into a seeding the favorite wins.
 
@@ -213,12 +192,49 @@ def pick(t: Tournament, algo: str = "auto") -> str:
     return "exact" if t.n <= EXACT_MAX_N else "indeg"
 
 
+def _depth_profile_holds(t: Tournament) -> bool:
+    """False when, for some d, fewer players lie within d arcs of the
+    favorite than a bracket it wins needs (see ``solve``): a breadth-first
+    search over ``out_masks``, one OR per player in the frontier."""
+    out, m = t.out_masks, t.num_rounds
+    reach = frontier = 1 << t.vstar
+    need = 1
+    for d in range(1, m + 1):
+        step = 0
+        for u in _players(frontier):
+            step |= out[u]
+        frontier = step & ~reach
+        reach |= frontier
+        need += math.comb(m, d)
+        if reach.bit_count() < need:
+            return False
+    return True
+
+
 def solve(t: Tournament, algo: str = "auto") -> Seeding | None:
     """Winning seeding for the favorite, or None.
 
     ``algo`` is one of ``ALGOS`` (see ``pick``).  Each solver checks its
     limit on entry, before any work.  Every YES is verified by simulation
-    before it is returned, and every None is exact.
+    before it is returned.  A None on the exact route comes from one of
+    three certificates: the degree bound, the depth profile (both below)
+    or the exact table itself.  A None from the witness-forest search is
+    exact by ``find_wwf``'s proof.
+
+    Play a bracket on n = 2**m players and hang each loser off the player
+    who beat it.  That is a spanning tree rooted at the champion, the
+    binomial tree B_m: the champion beat m players, whose subtrees are
+    B_0, ..., B_{m-1}, so B_m has C(m, d) players at depth d.  Each tree
+    arc runs from a match's winner to its loser, so it is an arc of the
+    tournament, and a player at depth d lies within d arcs of the champion.
+    So if the favorite wins, then for every d at least
+    C(m, 0) + ... + C(m, d) players lie within d arcs of it.  At d = 1 that
+    is the degree bound: the favorite beats at least m players.  The depth
+    profile checks every d by a breadth-first search from the favorite, and
+    the first depth that falls short proves NO.  It runs only ahead of
+    ``solve_exact`` and only within its cap, where it costs microseconds
+    against milliseconds for the table; past the cap the table's limit
+    fires as before.
     """
     algo = pick(t, algo)
     k = t.k
@@ -227,7 +243,7 @@ def solve(t: Tournament, algo: str = "auto") -> Seeding | None:
     elif t.ell < t.num_rounds:
         return None
     elif algo != "indeg" or k << k >= t.n:
-        s = solve_exact(t)
+        s = solve_exact(t) if t.n > EXACT_MAX_N or _depth_profile_holds(t) else None
     elif k == 0:
         s = Seeding(tuple(range(t.n)))
     else:

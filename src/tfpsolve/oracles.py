@@ -15,7 +15,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import KnockoutTrace, Seeding, Tournament, _fold, _round, champion_of, simulate
+from .core import (
+    KnockoutTrace,
+    Seeding,
+    Tournament,
+    _covered,
+    _fold,
+    _round,
+    champion_of,
+    simulate,
+)
 
 __all__ = [
     "OracleLimitError",
@@ -171,32 +180,17 @@ def extract_local_lba(t: Tournament, s: Seeding, b: int) -> tuple[int, ...]:
 
 
 def is_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> bool:
-    """Check the witness-forest conditions on trees held as root-first
-    leaf orders.
-
-    Conditions: at most k trees, each a bracket on 2**k distinct players
-    that its first player wins, mutually disjoint, no root beats the
-    favorite, everyone who beats the favorite is swallowed, and the
-    favorite may appear only as a root.  A player id outside 0..n-1 makes
-    the forest invalid.
+    """Whether ``trees``, held as root-first leaf orders, form a witness
+    forest: at most k trees that pass the solvers' own check
+    ``core._covered``.  A player id outside 0..n-1 makes the forest invalid.
     """
     if len(trees) > t.k:
         return False
-    size = 1 << t.k
-    seen: set[int] = set()
-    for order in trees:
-        players = set(order)
-        if len(order) != size or len(players) != size:
-            return False
-        if not all(0 <= v < t.n for v in players) or not seen.isdisjoint(players):
-            return False
-        seen |= players
-        root = order[0]
-        if root in t.in_neighbors or champion_of(t, order) != root:
-            return False
-        if t.vstar in players and root != t.vstar:
-            return False
-    return t.in_neighbors <= seen
+    try:
+        _covered(t, trees)
+    except (AssertionError, ValueError):
+        return False
+    return True
 
 
 def brute_force_wwf(t: Tournament) -> tuple[tuple[int, ...], ...] | None:

@@ -223,6 +223,36 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
+        "n, k",
+        [("1_6", "2"), ("+16", "2"), (" 16", "2"), ("16", "\u0662"), ("1_6", "\u0662"), ("x", "2")],
+        ids=["underscore", "plus_sign", "space", "arabic_indic_digit", "both", "letter"],
+    )
+    def test_sizes_take_ascii_digits_only(self, capsys, tmp_path, n, k):
+        # argparse's type=int read all but the letter as 16 and 2; the first
+        # bad flag is named, in the words type=int used
+        path = tmp_path / "g.tfp"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", str(path), "--n", n, "--k", k])
+        out = capsys.readouterr()
+        flag, value = ("--n", n) if n != "16" else ("--k", k)
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "n, k, err",
+        [
+            ("-4", "2", "player count must be a power of two, got -4"),
+            ("16", "-1", "the favorite's loss count must be in 0..15, got -1"),
+        ],
+        ids=["n", "k"],
+    )
+    def test_negative_sizes_reach_the_generator(self, capsys, tmp_path, n, k, err):
+        path = tmp_path / "g.tfp"
+        assert run(capsys, "gen", str(path), "--n", n, "--k", k) == (2, "", f"error: {err}\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "exc, message",
         [
             (MemoryError("Unable to allocate 8.00 TiB"), "Unable to allocate 8.00 TiB"),

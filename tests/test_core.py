@@ -414,6 +414,16 @@ class TestParser:
             parse_tournament("TFP v1\nn=4, vstar=0\n0101\n0011\n1000\n0010\n")
         assert e.value.line == 2
 
+    @pytest.mark.parametrize(
+        "meta", ["n=\u0664 vstar=0", "n=4 vstar=\u0660"], ids=["n", "vstar"]
+    )
+    def test_meta_takes_ascii_digits_only(self, meta):
+        # \d matched any Unicode digit, so n=<Arabic-Indic 4> read as n=4
+        text = f"TFP v1\n{meta}\n0101\n0011\n1000\n0010\n"
+        for data in (text, text.encode()):
+            with pytest.raises(ParseError, match="^line 2, col 1: malformed header: expected"):
+                parse_tournament(data)
+
     def test_n_not_power_of_two(self):
         with pytest.raises(ParseError, match="power of two"):
             parse_tournament("TFP v1\nn=3 vstar=0\n010\n001\n100\n")

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import itertools
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from arborescence import Lba, bracket_lba, is_lba, lba_to_seeding, merge_lbas
 from conftest import T4_YES_TEXT, tournaments
 from hypothesis import given, settings
+from test_embed import renamed, undefeated_conqueror
 
 import tfpsolve
 from tfpsolve import (
@@ -32,7 +34,7 @@ from tfpsolve import (
 from tfpsolve.cli import _check_multiplier
 from tfpsolve.core import _strip
 from tfpsolve.embed import _split_levels, _winners_table
-from tfpsolve.indeg import _apart, _find
+from tfpsolve.indeg import _apart, _depth_profile_holds, _find
 
 
 def dominating_conquerors(n: int) -> Tournament:
@@ -516,3 +518,91 @@ class TestSolveGate:
         monkeypatch.setattr(tfpsolve.indeg, "brute_force_decide", lambda t: losing)
         with pytest.raises(AssertionError, match="does not crown the favorite"):
             solve(t4_yes, algo)
+
+
+def profile_corpus(count: int):
+    """(family, instance) pairs at n in {2, 4, 8, 16}, the families in turn,
+    each instance with its players renamed at random so that the favorite
+    sits anywhere."""
+    rng = random.Random(26)
+    families = ("random", "planted", "biased", "gadget", "conqueror")
+    for i in range(count):
+        n = (2, 4, 8, 16)[i % 4]
+        family = families[i // 4 % len(families)]
+        if family == "random" or family == "gadget" and n == 2:  # a gadget needs k <= n - 2
+            t = gen_random(n, rng.randrange(n), seed=i)
+        elif family == "planted":
+            t = gen_planted_yes(n, rng.randrange(n - n.bit_length() + 1), seed=i)[0]
+        elif family == "biased":
+            t = biased(n, rng.randrange(1, n), seed=i)
+        elif family == "gadget":
+            t = gadget(n, rng.randrange(1, n - 1), seed=i, head=i % 2)
+        else:
+            t = undefeated_conqueror(n, rng.randrange(1, n), seed=i)
+        yield family, renamed(t, rng.sample(range(n), n))
+
+
+class TestDepthProfile:
+    """The certificate ahead of the exact table: a bracket the favorite wins
+    puts at least C(m, 0) + ... + C(m, d) players within d arcs of it."""
+
+    def test_every_profile_no_is_an_exact_no(self):
+        fired, past_degree, seen = (collections.Counter() for _ in range(3))
+        for i, (family, t) in enumerate(profile_corpus(1500)):
+            seen[family] += 1
+            if not _depth_profile_holds(t):
+                assert solve_exact(t) is None, (i, family)
+                fired[family] += 1
+                past_degree[family] += t.ell >= t.num_rounds
+        assert "planted" not in fired
+        # nobody reaches a conqueror that beats everyone
+        assert fired["conqueror"] == seen["conqueror"]
+        assert min(past_degree[f] for f in ("random", "biased", "gadget", "conqueror")) > 0
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_never_fires_on_planted_yes(self, n):
+        rng = random.Random(n)
+        for seed in range(25):
+            t, _ = gen_planted_yes(n, rng.randrange(n - n.bit_length() + 1), seed=seed)
+            assert _depth_profile_holds(t), seed
+
+    @pytest.mark.parametrize("algo", ["auto", "exact", "outdeg", "indeg"])
+    def test_conqueror_no_skips_the_table(self, monkeypatch, algo):
+        def table(t):
+            raise AssertionError("the exact table ran on a NO the profile certifies")
+
+        monkeypatch.setattr(tfpsolve.indeg, "solve_exact", table)
+        for seed in range(18):
+            t = undefeated_conqueror(16, 3 + seed % 9, seed=seed)  # k*2**k >= 16, k <= 11
+            assert t.ell >= t.num_rounds
+            assert solve(t, algo) is None, seed
+
+    @pytest.mark.parametrize("seed, certified", [(40, False), (364, False), (3, True)])
+    def test_biased_no(self, monkeypatch, seed, certified):
+        calls = []
+        table = tfpsolve.indeg.solve_exact
+        monkeypatch.setattr(tfpsolve.indeg, "solve_exact", lambda t: calls.append(t) or table(t))
+        t = biased(16, 5, seed=seed)
+        assert t.ell >= t.num_rounds and _depth_profile_holds(t) is not certified
+        assert solve(t) is None
+        assert calls == ([] if certified else [t])
+
+    def test_brute_runs_unfiltered(self, monkeypatch):
+        def profile(t):
+            raise AssertionError("the depth profile ran ahead of the brute oracle")
+
+        calls = []
+        monkeypatch.setattr(tfpsolve.indeg, "_depth_profile_holds", profile)
+        monkeypatch.setattr(
+            tfpsolve.indeg, "brute_force_decide", lambda t: calls.append(t) or brute_force_decide(t)
+        )
+        t = undefeated_conqueror(8, 2, seed=0)
+        assert solve(t, "brute") is None and calls == [t]
+
+    def test_past_the_cap_the_table_limit_fires(self, monkeypatch):
+        def profile(t):
+            raise AssertionError("the depth profile ran past the exact cap")
+
+        monkeypatch.setattr(tfpsolve.indeg, "_depth_profile_holds", profile)
+        with pytest.raises(ValueError, match=r"^exact solver is capped at 16 players, got n=32$"):
+            solve(undefeated_conqueror(32, 4, seed=0))
