@@ -13,8 +13,8 @@ the seeding loses, 2 any error.  Output for a fixed file and algorithm is
 byte-identical across runs.  The solvers draw nothing, so the solver
 commands' ``--seed`` and ``--multiplier`` are validated for compatibility
 and otherwise ignored; ``gen --seed`` still seeds the generators.
-TFP_THREADS is accepted and validated for compatibility; this
-implementation stays single-threaded.
+TFP_THREADS is accepted and validated for compatibility (ASCII digits, at
+least 1); this implementation stays single-threaded.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     threads = os.environ.get("TFP_THREADS")
     if threads is not None:
         try:
-            if int(threads) < 1:
+            if _integer(threads) < 1:
                 raise ValueError
         except ValueError:
             print("error: TFP_THREADS must be a positive integer", file=sys.stderr)

@@ -18,9 +18,9 @@ parser, ``Tournament.from_matrix`` and the generators hold packed rows
 already and hand them to ``Tournament._from_rows``, so no table is packed
 twice.  Below ``_PACKED_MIN_N`` players, and for a mask that does not fit
 in n bits, the plain per-cell check ``_check_cells`` runs instead.  A
-tournament keeps the rows it was checked on as a read-only ``_rows``
-(packed on first use where the per-cell check ran), and
-``format_tournament`` unpacks its text from them a block at a time.
+tournament stores only ``out_masks``: the packed rows are dropped once
+checked, ``_in_mask`` derives a player's in-mask from its row when a solver
+asks, and ``format_tournament`` repacks the masks a block of rows at a time.
 
 ``parse_tournament`` takes the file's text or its bytes.  Bytes in the
 canonical layout, the one ``format_tournament`` writes, are read in place
@@ -106,6 +106,12 @@ def _ints(packed: np.ndarray) -> tuple[int, ...]:
     return tuple(map(int.from_bytes, rows, itertools.repeat("little")))
 
 
+def _in_mask(out_masks: Sequence[int], v: int) -> int:
+    """The bitmask of the players that beat v.  Every pair is oriented
+    exactly once, so those are all players but v and the ones v beats."""
+    return ((1 << len(out_masks)) - 1) ^ (out_masks[v] | 1 << v)
+
+
 def _players(mask: int):
     """The players in a bitmask, ascending."""
     while mask:
@@ -132,18 +138,27 @@ def _transpose(packed: np.ndarray) -> np.ndarray:
     Bytes ``packed[8I : 8I + 8, J]`` are the rows of the 8x8 bit block
     (I, J), so each block is one little-endian ``uint64`` with cell (r, c)
     at bit 8r + c.  Three delta swaps transpose every block at once, and
-    block (I, J) moves to (J, I).
+    block (I, J) moves to (J, I).  A strip of ``_BLOCK`` block rows is done
+    at a time and written straight into the output, so beyond the output at
+    most three strips of ``uint64`` words are held: the words and two swap
+    temporaries.
     """
     n, m = packed.shape
-    x = packed.reshape(m, 8, m).transpose(0, 2, 1).copy().view("<u8").reshape(m, m)
-    for shift, mask in _SWAPS:
-        t = x >> shift
-        t ^= x
-        t &= mask
-        x ^= t
-        t <<= shift
-        x ^= t
-    return x.T.copy().view(np.uint8).reshape(m, m, 8).transpose(0, 2, 1).reshape(n, m)
+    out = np.empty((n, m), np.uint8)
+    blocks = out.reshape(m, 8, m)  # [J, r, I]: byte r of block (J, I)
+    for lo in range(0, m, _BLOCK):
+        hi = min(m, lo + _BLOCK)
+        x = packed[8 * lo : 8 * hi].reshape(hi - lo, 8, m).transpose(0, 2, 1).copy()
+        x = x.view("<u8").reshape(hi - lo, m)
+        for shift, mask in _SWAPS:
+            t = x >> shift
+            t ^= x
+            t &= mask
+            x ^= t
+            t <<= shift
+            x ^= t
+        blocks[:, :, lo:hi] = x.view(np.uint8).reshape(hi - lo, m, 8).transpose(1, 2, 0)
+    return out
 
 
 def _check_packed(packed: np.ndarray) -> None:
@@ -218,7 +233,6 @@ class Tournament:
             _check_cells(self.out_masks, self.n)
         else:
             _check_packed(packed)
-            object.__setattr__(self, "_rows", packed)
 
     def _check_size(self) -> None:
         if not _is_power_of_two(self.n):
@@ -246,23 +260,12 @@ class Tournament:
         object.__setattr__(t, "out_masks", _ints(packed))
         t._check_size()
         _check_packed(packed)
-        packed.flags.writeable = False
-        object.__setattr__(t, "_rows", packed)
         return t
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[int]], vstar: int) -> "Tournament":
         """Tournament whose player u beats v iff ``rows[u][v]`` is truthy."""
         return cls._from_rows(np.packbits(np.asarray(rows, bool), axis=1, bitorder="little"), vstar)
-
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        """``_packed(out_masks, n)``, read-only: the rows the table was checked on.
-
-        The constructor's packed check and ``_from_rows`` set it to the rows
-        they checked; otherwise it is packed on first use.
-        """
-        return _packed(self.out_masks, self.n)
 
     def beats(self, u: int, v: int) -> bool:
         # a numpy v would force the Python-int row into a C long
@@ -280,22 +283,12 @@ class Tournament:
     @cached_property
     def in_neighbors(self) -> frozenset[int]:
         """Players that beat the favorite."""
-        return frozenset(_players(self.in_masks[self.vstar]))
+        return frozenset(_players(_in_mask(self.out_masks, self.vstar)))
 
     @cached_property
     def out_neighbors(self) -> frozenset[int]:
         """Players the favorite beats."""
         return frozenset(_players(self.out_masks[self.vstar]))
-
-    @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        """Row ``v`` is the bitmask of the players that beat ``v``.
-
-        Every pair is oriented exactly once, so those are the players
-        other than ``v`` that ``v`` does not beat.
-        """
-        full = (1 << self.n) - 1
-        return tuple(full ^ (row | 1 << v) for v, row in enumerate(self.out_masks))
 
     @property
     def k(self) -> int:
@@ -525,7 +518,7 @@ def format_tournament(t: Tournament, comments: Iterable[str] = ()) -> str:
         out.append(f"# {c}\n")
     out.append(f"TFP v1\nn={t.n} vstar={t.vstar}\n")
     for lo in range(0, t.n, _BLOCK):
-        rows = _strip(t._rows[lo : lo + _BLOCK], 0, t.n)
+        rows = _strip(_packed(t.out_masks[lo : lo + _BLOCK], t.n), 0, t.n)
         cells = np.full((len(rows), t.n + 1), ord("\n"), np.uint8)
         cells[:, : t.n] = rows.view(np.uint8) + ord("0")
         out.append(cells.tobytes().decode("ascii"))
@@ -581,7 +574,7 @@ def _covered(t: Tournament, trees: Sequence[Sequence[int]]) -> int:
     the favorite appears only as a root, and the trees hold every player
     that beats the favorite.
     """
-    ins, covered = t.in_masks[t.vstar], 0
+    ins, covered = _in_mask(t.out_masks, t.vstar), 0
     for order in trees:
         order = tuple(map(operator.index, order))  # numpy ids overflow the shifts
         for v in order:

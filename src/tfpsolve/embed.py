@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Seeding, Tournament
+from .core import Seeding, Tournament, _in_mask
 
 __all__ = [
     "solve_exact",
@@ -124,8 +124,8 @@ def _winners_table(out_masks, until: int | None = None) -> np.ndarray:
     n = len(out_masks)
     full = (1 << n) - 1
     beats_some = np.zeros(1 << n, _WORD)
-    for v, row in enumerate(out_masks):  # the players that beat v: all but v and row
-        beats_some[1 << v : 2 << v] = beats_some[: 1 << v] | full ^ (row | 1 << v)
+    for v in range(n):
+        beats_some[1 << v : 2 << v] = beats_some[: 1 << v] | _in_mask(out_masks, v)
     winners = np.zeros(1 << n, _WORD)
     beats_winner = np.zeros(1 << n, _WORD)
     singles = 1 << np.arange(n)

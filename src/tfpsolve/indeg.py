@@ -49,7 +49,7 @@ import math
 import operator
 from typing import Sequence
 
-from .core import Seeding, Tournament, _covered, _fold, _players, _round, champion_of
+from .core import Seeding, Tournament, _covered, _fold, _in_mask, _players, _round, champion_of
 from .embed import EXACT_MAX_N, solve_exact
 from .oracles import brute_force_decide
 
@@ -91,10 +91,11 @@ def _find(t: Tournament) -> Order | None:
     picks from their candidate sets.  A call costs O(n**2) bitset
     operations.
     """
-    out, ins = t.out_masks, t.in_masks
-    W = tuple(_players(ins[t.vstar]))
-    roots = ((1 << t.n) - 1) & ~ins[t.vstar]
-    kids = roots & ~(1 << t.vstar)
+    out = t.out_masks
+    W = tuple(_players(_in_mask(out, t.vstar)))
+    ins = {w: _in_mask(out, w) for w in W}
+    kids = out[t.vstar]
+    roots = kids | 1 << t.vstar
     if t.k == 1:
         (u,) = W
         r = roots & ins[u]

@@ -375,6 +375,17 @@ class TestEnvironment:
             2, "", "error: TFP_THREADS must be a positive integer\n"
         )
 
+    @pytest.mark.parametrize(
+        "value",
+        [" 4", "+4", "4_0", "\u0664"],
+        ids=["space", "plus_sign", "underscore", "arabic_indic_digit"],
+    )
+    def test_threads_take_ascii_digits_only(self, capsys, yes_file, monkeypatch, value):
+        monkeypatch.setenv("TFP_THREADS", value)  # each is a positive int() value
+        assert run(capsys, "decide", yes_file) == (
+            2, "", "error: TFP_THREADS must be a positive integer\n"
+        )
+
     def test_output_independent_of_threads(self, capsys, yes_file, monkeypatch):
         outs = set()
         for env in (None, "1", "4"):

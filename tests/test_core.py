@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +29,16 @@ from tfpsolve import (
     parse_tournament,
     repair_to_nice,
     simulate,
+    solve,
 )
-from tfpsolve.core import _check_packed, _packed, _parse_canonical, _parse_lines, _transpose
+from tfpsolve.core import (
+    _check_packed,
+    _in_mask,
+    _packed,
+    _parse_canonical,
+    _parse_lines,
+    _transpose,
+)
 
 
 class TestTournament:
@@ -40,7 +50,7 @@ class TestTournament:
         assert t4_yes.in_neighbors == frozenset({2})
         assert t4_yes.out_neighbors == frozenset({1, 3})
         assert t4_yes.k == 1 and t4_yes.ell == 2
-        assert t4_yes.in_masks == (4, 1, 10, 3)
+        assert tuple(_in_mask(t4_yes.out_masks, v) for v in t4_yes.players) == (4, 1, 10, 3)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -134,7 +144,8 @@ class TestTournament:
         upper = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
         vstar = data.draw(st.integers(0, n - 1))
         t = Tournament.from_matrix(upper | np.tril(~upper.T, -1), vstar)
-        assert t.in_masks == tuple(sum(t.beats(u, v) << u for u in t.players) for v in t.players)
+        ins = tuple(_in_mask(t.out_masks, v) for v in t.players)
+        assert ins == tuple(sum(t.beats(u, v) << u for u in t.players) for v in t.players)
         assert t.in_neighbors == {u for u in t.players if t.beats(u, vstar)}
         assert t.out_neighbors == {u for u in t.players if t.beats(vstar, u)}
         assert t.k == len(t.in_neighbors) and t.ell == len(t.out_neighbors)
@@ -173,12 +184,55 @@ DEFECT_CASES = [
 ]
 
 
+def _transpose_one_pass(packed: np.ndarray) -> np.ndarray:
+    """``_transpose`` on the whole table at once: the reference for its strips."""
+    n, m = packed.shape
+    x = packed.reshape(m, 8, m).transpose(0, 2, 1).copy().view("<u8").reshape(m, m)
+    for shift, mask in (
+        (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)
+    ):
+        t = x >> np.uint64(shift)
+        t ^= x
+        t &= np.uint64(mask)
+        x ^= t
+        t <<= np.uint64(shift)
+        x ^= t
+    return x.T.copy().view(np.uint8).reshape(m, m, 8).transpose(0, 2, 1).reshape(n, m)
+
+
+def _random_packed(n: int) -> np.ndarray:
+    a = np.random.default_rng(n).random((n, n)) < 0.5
+    return np.packbits(a, axis=1, bitorder="little")
+
+
+# Traced bytes allowed beyond the stated arrays: headers and small objects.
+_SLACK = 64 << 10
+
+
 class TestPackedCheck:
     @pytest.mark.parametrize("n", [8, 16, 64, 512, 2048])
     def test_transpose_matches_packbits(self, n):
         a = np.random.default_rng(n).random((n, n)) < 0.5
         got = _transpose(np.packbits(a, axis=1, bitorder="little"))
         assert np.array_equal(got, np.packbits(a.T, axis=1, bitorder="little"))
+
+    @pytest.mark.parametrize("n", [8, 1024, 1064, 2048])  # 1064: a partial last strip
+    def test_transpose_matches_the_one_pass_reference(self, n):
+        packed = _random_packed(n)
+        assert np.array_equal(_transpose(packed), _transpose_one_pass(packed))
+
+    def test_transpose_peak_at_4096(self):
+        packed = _random_packed(4096)
+        _transpose(packed)  # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            _transpose(packed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, and three uint64 strips of 1024 players: the word
+        # copy and two swap temporaries; one pass held three whole tables
+        assert peak <= packed.nbytes + 3 * 1024 * packed.shape[1] + _SLACK
 
     @pytest.mark.parametrize("n, defect", DEFECT_CASES)
     def test_one_defect_matches_the_cell_reference(self, n, defect):
@@ -272,9 +326,15 @@ class TestCheckedRows:
     @pytest.mark.parametrize("source", ROW_SOURCES)
     def test_rows_are_the_packed_masks_and_read_only(self, source, n):
         t = ROW_SOURCES[source](_random_tournament(n, np.random.default_rng([n, 7])))
-        assert t._rows.dtype == np.uint8
-        assert np.array_equal(t._rows, _packed(t.out_masks, t.n))
-        assert not t._rows.flags.writeable
+        # the masks are the one stored form: no packed rows are kept
+        assert set(vars(t)) <= {"n", "vstar", "out_masks", "in_neighbors", "out_neighbors"}
+        assert type(t.out_masks) is tuple and all(type(m) is int for m in t.out_masks)
+        with pytest.raises(AttributeError):
+            t.out_masks = ()
+        # and the rows format_tournament writes pack to them
+        rows = format_tournament(t).splitlines()[2:]
+        cells = np.array([[c == "1" for c in row] for row in rows])
+        assert np.array_equal(np.packbits(cells, axis=1, bitorder="little"), _packed(t.out_masks, n))
 
     def test_format_of_constructed_table_is_pinned(self):
         masks = _plain_masks(_random_table(64, np.random.default_rng(640)))
@@ -286,6 +346,28 @@ class TestCheckedRows:
         t = _via_line_reader(Tournament.from_matrix(a, 9))
         text = format_tournament(t)
         assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_PINS["line_parse"]
+
+
+class TestStoredForm:
+    def test_parse_and_solve_hold_only_the_masks(self):
+        text = format_tournament(gen_planted_yes(4096, 2, seed=3)[0]).encode()
+        solve(parse_tournament(text), "indeg")  # numpy's one-time allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            t = parse_tournament(text)
+            gc.collect()
+            parsed = tracemalloc.get_traced_memory()[0] - base
+            assert solve(t, "indeg") is not None
+            gc.collect()
+            solved = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # 2.27 MiB of masks; packed rows would add 2 MiB, all in-masks 2.27
+        masks = sys.getsizeof(t.out_masks) + sum(map(sys.getsizeof, t.out_masks))
+        assert parsed <= masks + _SLACK
+        assert solved <= masks + _SLACK
 
 
 _H4 = "TFP v1\nn=4 vstar=0\n"

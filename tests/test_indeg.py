@@ -32,7 +32,7 @@ from tfpsolve import (
     solve_exact,
 )
 from tfpsolve.cli import _check_multiplier
-from tfpsolve.core import _strip
+from tfpsolve.core import _in_mask, _packed, _strip
 from tfpsolve.embed import _split_levels, _winners_table
 from tfpsolve.indeg import _apart, _depth_profile_holds, _find
 
@@ -58,7 +58,7 @@ def biased(n: int, k: int, seed: int) -> Tournament:
     """``gen_random`` with each conqueror beating each outsider with one
     probability drawn from [0.75, 1]: NOs that no degree bound certifies."""
     t = gen_random(n, k, seed=seed)
-    a = _strip(t._rows, 0, n).copy()
+    a = _strip(_packed(t.out_masks, n), 0, n)
     rng = np.random.default_rng(seed)
     outsiders = sorted(t.out_neighbors)
     for c in sorted(t.in_neighbors):
@@ -77,7 +77,7 @@ def gadget(n: int, k: int, seed: int, head: int = 0) -> Tournament:
     the ascending conquerors to pick the one w beats.
     """
     t = gen_random(n, k, seed=seed)
-    a = _strip(t._rows, 0, n).copy()
+    a = _strip(_packed(t.out_masks, n), 0, n)
     ins = sorted(t.in_neighbors)
     chain = ins[head:] + ins[:head]
     w = random.Random(seed).choice(sorted(t.out_neighbors))
@@ -154,7 +154,7 @@ class TestPatternAndHost:
                 find_wwf(gen_random(n, 0, seed=1))
 
     def test_host_reference(self, t4_yes):
-        assert t4_yes.in_masks == (4, 1, 10, 3)
+        assert tuple(_in_mask(t4_yes.out_masks, v) for v in t4_yes.players) == (4, 1, 10, 3)
         # conqueror 2 is beaten by 1 and 3, both outside the in-set {2}
         assert _find(t4_yes) == (1, 2) and brute_find(t4_yes, (2,), 0)
         # 2 beats 1 as well: only 3 is left to beat it
@@ -181,7 +181,7 @@ class TestPatternAndHost:
         # every call misses, with or without the other conqueror in W
         for seed in range(2):
             t = gen_random(8, 2, seed=seed)
-            a = _strip(t._rows, 0, 8).copy()
+            a = _strip(_packed(t.out_masks, 8), 0, 8)
             us = sorted(t.in_neighbors)
             c = us[seed % 2]
             for v in t.players:
@@ -332,7 +332,7 @@ class TestFindWwf:
         verdicts = set()
         for seed in range(100):
             for t in (biased(16, 3, seed), gadget(16, 3, seed), gen_random(16, 3, seed=seed)):
-                ins, fav = t.in_masks[t.vstar], 1 << t.vstar
+                ins, fav = _in_mask(t.out_masks, t.vstar), 1 << t.vstar
                 sets = eights[eights & ins == ins]
                 # the favorite inside a tree must be its root; else any non-conqueror
                 allowed = np.where(sets & fav, fav, ~ins)
