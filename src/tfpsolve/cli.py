@@ -33,10 +33,10 @@ from .core import (
     ParseError,
     Seeding,
     Tournament,
-    format_tournament,
     format_trace,
     parse_tournament,
     simulate,
+    write_tournament,
 )
 from .indeg import ALGOS, pick, solve
 from .instances import gen_planted_yes, gen_random
@@ -70,10 +70,11 @@ _integer.__name__ = "int"
 
 def _read_seeding(args: argparse.Namespace, n: int) -> Seeding:
     text = args.seeding if args.seeding is not None else Path(args.seeding_file).read_text()
-    try:
-        order = tuple(map(_integer, text.split()))
-    except ValueError:
-        raise ValueError("seeding must be whitespace-separated integers") from None
+    # the tokens of _integer, split where str.split splits: Unicode \s is
+    # exactly str.isspace
+    if not re.fullmatch(r"\s*(?:-?[0-9]+(?:\s+|\Z))*", text):
+        raise ValueError("seeding must be whitespace-separated integers")
+    order = tuple(map(int, text.split()))
     if len(order) != n:
         raise ValueError(f"seeding lists {len(order)} players, tournament has {n}")
     return Seeding(order)
@@ -106,7 +107,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         f"planted={'yes' if args.planted else 'no'}"
     )
     out = Path(args.out)
-    out.write_text(format_tournament(t, comments=(comment,)))
+    with out.open("wb") as f:
+        write_tournament(t, f, comments=(comment,))
     print(f"wrote {out}")
     if witness is not None:
         side = Path(str(out) + ".witness")

@@ -19,23 +19,27 @@ already and hand them to ``Tournament._from_rows``, so no table is packed
 twice.  Below ``_PACKED_MIN_N`` players, and for a mask that does not fit
 in n bits, the plain per-cell check ``_check_cells`` runs instead.  A
 tournament stores only ``out_masks``: the packed rows are dropped once
-checked, ``_in_mask`` derives a player's in-mask from its row when a solver
-asks, and ``format_tournament`` repacks the masks a block of rows at a time.
+checked, and ``_in_mask`` derives a player's in-mask from its row when a
+solver asks.
 
-``parse_tournament`` takes the file's text or its bytes.  Bytes in the
-canonical layout, the one ``format_tournament`` writes, are read in place
-as one uint8 array; any other layout goes through a line-by-line reader,
-which also names the first defect's line and column.
+``write_tournament`` writes a table to a binary file: the header, then each
+block of rows repacked from the masks and written as its uint8 cells, so
+no text of the whole table is built.  ``format_tournament`` returns what it
+writes as a ``str``.  ``parse_tournament`` takes the file's text or its
+bytes.  Bytes in the canonical layout, the one the writer writes, are read
+in place as one uint8 array; any other layout goes through a line-by-line
+reader, which also names the first defect's line and column.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +51,7 @@ __all__ = [
     "KnockoutTrace",
     "parse_tournament",
     "format_tournament",
+    "write_tournament",
     "bracket_rounds",
     "champion_of",
     "simulate",
@@ -351,7 +356,7 @@ def parse_tournament(text: str | bytes) -> Tournament:
     in reading order is reported by line and column.
 
     Bytes must be UTF-8, or ``UnicodeDecodeError`` is raised.  A valid file
-    in the canonical layout, the one ``format_tournament`` writes (the
+    in the canonical layout, the one ``write_tournament`` writes (the
     header, then exactly n rows of n '0'/'1' cells, each ended by a line
     feed, and nothing after them), is read in place from its bytes; an
     ASCII ``str`` is encoded to take the same path.  Any other layout, and
@@ -505,24 +510,37 @@ def _check_row(i: int, rows: list[str], n: int, lineno: int) -> None:
             )
 
 
-def format_tournament(t: Tournament, comments: Iterable[str] = ()) -> str:
-    """Render a tournament in the TFP v1 format parsed by parse_tournament.
+def write_tournament(t: Tournament, f: BinaryIO, comments: Iterable[str] = ()) -> None:
+    """Write a tournament in the TFP v1 format to the binary file object ``f``.
 
     Each comment becomes one '# ' line, so a comment that ``str.splitlines``
     would split raises ValueError: its second line would be read as content.
+    The header, comments first, is checked and encoded as UTF-8 before the
+    first byte is written.  The rows follow a block of ``_BLOCK`` at a time,
+    each block repacked from ``out_masks`` and written as its uint8 cells,
+    so beyond the masks the writer holds one block's arrays.
     """
-    out = []
+    head = []
     for c in comments:
         if "".join(c.splitlines()) != c:
             raise ValueError(f"comment {c!r} holds a line break")
-        out.append(f"# {c}\n")
-    out.append(f"TFP v1\nn={t.n} vstar={t.vstar}\n")
+        head.append(f"# {c}\n")
+    head.append(f"TFP v1\nn={t.n} vstar={t.vstar}\n")
+    f.write("".join(head).encode())
     for lo in range(0, t.n, _BLOCK):
-        rows = _strip(_packed(t.out_masks[lo : lo + _BLOCK], t.n), 0, t.n)
-        cells = np.full((len(rows), t.n + 1), ord("\n"), np.uint8)
-        cells[:, : t.n] = rows.view(np.uint8) + ord("0")
-        out.append(cells.tobytes().decode("ascii"))
-    return "".join(out)
+        rows = t.out_masks[lo : lo + _BLOCK]
+        cells = np.empty((len(rows), t.n + 1), np.uint8)
+        cells[:, t.n] = ord("\n")
+        np.add(_strip(_packed(rows, t.n), 0, t.n).view(np.uint8), ord("0"), out=cells[:, : t.n])
+        f.write(cells)
+
+
+def format_tournament(t: Tournament, comments: Iterable[str] = ()) -> str:
+    """The text ``write_tournament`` writes, the TFP v1 format parsed by
+    ``parse_tournament``; a comment holding a line break raises ValueError."""
+    buf = io.BytesIO()
+    write_tournament(t, buf, comments)
+    return buf.getvalue().decode()
 
 
 def bracket_rounds(t: Tournament, order: Sequence[int]) -> list[list[Match]]:

@@ -9,6 +9,8 @@ then coin-flips the remaining pairs.
 Both build the table through ``_tournament`` directly as the packed rows
 ``Tournament`` checks, a block of ``_BLOCK`` rows at a time, so the largest
 temporary is one block's bool slab and its coins, never an n-by-n matrix.
+The coins are those of ``rng.integers(0, 2)``, but ``_coins`` reads them
+off raw PCG64 words, one bit per 32-bit half, instead of one int64 each.
 """
 
 from __future__ import annotations
@@ -32,20 +34,53 @@ def _check_nk(n: int, k: int) -> tuple[int, int]:
     return n, k
 
 
+def _coins(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``rng.integers(0, 2, size=count)`` as bools, drawn from raw words.
+
+    ``rng`` must be ``default_rng``'s PCG64, and it is left in the state
+    that call leaves it in.  For a range of 2 numpy's 32-bit Lemire step
+    (Lemire, ACM TOMACS 2019) rejects no draw, so each coin is bit 31 of
+    one ``next_uint32``.  PCG64 hands out the low half of each 64-bit word
+    first and keeps the high half in its state (``has_uint32`` and
+    ``uinteger``) for the next 32-bit draw.  So a buffered half word gives
+    the first coin, and the halves of ``random_raw`` words, read as
+    little-endian uint32 pairs, give the rest in order.  As numpy does, the
+    last word's high half is left in ``uinteger``, and ``has_uint32`` marks
+    it as not yet drawn when those words served an odd number of coins.
+    """
+    bits = rng.bit_generator
+    state = bits.state
+    held = int(state["has_uint32"] and count > 0)
+    rest = count - held
+    words = bits.random_raw((rest + 1) // 2).astype("<u8", copy=False)
+    coins = np.empty(count, bool)
+    if held:
+        coins[0] = state["uinteger"] >> 31
+    np.greater_equal(words.view("<u4")[:rest], 1 << 31, out=coins[held:])
+    if count:
+        state = bits.state
+        state["has_uint32"] = rest % 2
+        if rest:
+            state["uinteger"] = int(words[-1] >> 32)
+        bits.state = state
+    return coins
+
+
 def _tournament(
     n: int, rng: np.random.Generator, ins: set[int], winners=(), losers=()
 ) -> Tournament:
     """Favorite 0 losing to ``ins``, the planted arcs ``winners[i]`` beats
     ``losers[i]`` (none involving the favorite), and a coin for every other pair.
 
-    Pairs (u, v), 1 <= u < v, take coins from ``rng.integers(0, 2)`` in
-    row-major order, 1 meaning u beats v.  The table is built as packed rows
-    (the layout of ``core._packed``) a block of ``_BLOCK`` rows at a time:
-    a bool slab of the block's upper-triangle cells takes the favorite's
-    row, one coin call for the block's pairs (the same stream as one call
-    for all of them) and the planted arcs, and is packed into its rows.
-    The lower triangle is then the complement of the transposed upper one,
-    ``P ^= transpose(P) ^ L`` with L the strictly-lower cells.
+    Pairs (u, v), 1 <= u < v, take the coins of ``rng.integers(0, 2)`` in
+    row-major order, 1 meaning u beats v; they come from ``_coins``, so
+    ``rng`` must be ``default_rng``'s PCG64.  The table is built as packed
+    rows (the layout of ``core._packed``) a block of ``_BLOCK`` rows at a
+    time: a bool slab of the block's upper-triangle cells takes the
+    favorite's row, one coin draw for the block's pairs (the same stream as
+    one draw for all of them) and the planted arcs, and is packed into its
+    rows.  The lower triangle is then the complement of the transposed
+    upper one, ``P ^= transpose(P) ^ L`` with L the strictly-lower cells.
     """
     w, l = np.asarray(winners, np.intp), np.asarray(losers, np.intp)
     top, bottom, top_wins = np.minimum(w, l), np.maximum(w, l), w < l
@@ -58,7 +93,7 @@ def _tournament(
             upper[0, 1:] = True
             upper[0, list(ins)] = False
         first = max(lo, 1)
-        coins = rng.integers(0, 2, size=(2 * n - 1 - first - hi) * (hi - first) // 2)
+        coins = _coins(rng, (2 * n - 1 - first - hi) * (hi - first) // 2)
         at = 0
         for u in range(first, hi):
             upper[u - lo, u + 1 :] = coins[at : at + n - 1 - u]

@@ -1,5 +1,9 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 from conftest import T4_NO_TEXT, T4_YES_TEXT
+from test_instances import PLANTED_PINS, RANDOM_PINS
 
 from tfpsolve import Tournament, format_tournament, gen_planted_yes, gen_random
 from tfpsolve.cli import _build_parser, main
@@ -216,6 +220,31 @@ class TestGen:
         )
         assert code == 0 and out.endswith("winning: yes\n")
 
+    # (planted, n, k, seed); the n=2048 seeds are the generators' pinned ones
+    @pytest.mark.parametrize(
+        "planted, n, k, seed",
+        [(False, 8, 2, 3), (False, 64, 2, 5), (False, 2048, 5, 11),
+         (True, 8, 2, 3), (True, 64, 2, 5), (True, 2048, 5, 0)],
+        ids=["random-8", "random-64", "random-2048", "planted-8", "planted-64", "planted-2048"],
+    )
+    def test_file_is_the_formatted_table(self, capsys, tmp_path, planted, n, k, seed):
+        path = tmp_path / "g.tfp"
+        argv = ["gen", str(path), "--n", str(n), "--k", str(k), "--seed", str(seed)]
+        assert run(capsys, *argv, *(["--planted"] if planted else []))[0] == 0
+        if planted:
+            t, s = gen_planted_yes(n, k, seed=seed)
+            witness = " ".join(map(str, s.leaf_order)) + "\n"
+            assert Path(f"{path}.witness").read_text() == witness
+        else:
+            t = gen_random(n, k, seed=seed)
+        comment = f"generated: n={n} k={k} seed={seed} planted={'yes' if planted else 'no'}"
+        data = path.read_bytes()
+        assert data == format_tournament(t, comments=(comment,)).encode()
+        if n == 2048:
+            pin = PLANTED_PINS[n, k, seed][0] if planted else RANDOM_PINS[n, k, seed]
+            table = data[data.index(b"\n") + 1 :]
+            assert hashlib.sha256(table).hexdigest() == pin
+
     def test_gen_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.tfp", tmp_path / "b.tfp"
         run(capsys, "gen", str(a), "--n", "32", "--k", "3", "--seed", "11")
@@ -296,13 +325,23 @@ class TestVerifySeeding:
             ("0 1 2 +3", "error: seeding must be whitespace-separated integers\n"),
             ("0 1 2 0_3", "error: seeding must be whitespace-separated integers\n"),
             ("0 1 2 \u0663", "error: seeding must be whitespace-separated integers\n"),
+            ("0 1 2-3", "error: seeding must be whitespace-separated integers\n"),
             ("0 1 2 -3", "error: leaf_order is not a permutation of the players\n"),
             ("0 1 2", "error: seeding lists 3 players, tournament has 4\n"),
+            ("", "error: seeding lists 0 players, tournament has 4\n"),
         ],
-        ids=["not_integers", "plus_sign", "underscore", "arabic_indic_digit", "negative", "wrong_length"],
+        ids=[
+            "not_integers", "plus_sign", "underscore", "arabic_indic_digit", "unsplit_minus",
+            "negative", "wrong_length", "empty",
+        ],
     )
     def test_rejects_malformed_seeding(self, capsys, yes_file, seeding, err):
         assert run(capsys, "verify-seeding", yes_file, "--seeding", seeding) == (2, "", err)
+
+    def test_any_unicode_space_separates(self, capsys, yes_file):
+        # the separators str.split takes: an em space and a file separator
+        code, out, _ = run(capsys, "verify-seeding", yes_file, "--seeding", "\n0\u20031\x1c2 3\n")
+        assert code == 0 and out.startswith("seeding: 0 1 2 3\n")
 
 
 class TestCheckStructure:

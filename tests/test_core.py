@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import sys
 import tracemalloc
 
@@ -32,12 +33,14 @@ from tfpsolve import (
     solve,
 )
 from tfpsolve.core import (
+    _BLOCK,
     _check_packed,
     _in_mask,
     _packed,
     _parse_canonical,
     _parse_lines,
     _transpose,
+    write_tournament,
 )
 
 
@@ -369,6 +372,31 @@ class TestStoredForm:
         assert parsed <= masks + _SLACK
         assert solved <= masks + _SLACK
 
+    def test_write_holds_one_block(self, tmp_path):
+        t = gen_planted_yes(4096, 2, seed=3)[0]
+        path = tmp_path / "t.tfp"
+
+        def peak(write):
+            write()  # numpy's one-time allocations
+            tracemalloc.start()
+            try:
+                write()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def stream():
+            with path.open("wb") as f:
+                write_tournament(t, f)
+
+        # One block of 128 rows at a time: its cells, n + 1 bytes a row, and
+        # while they are filled its packed rows (n/8 bytes a row) and their
+        # unpacked bits (n bytes a row); 1.06 MiB at n=4096.
+        block = _BLOCK * (t.n + 1 + t.n // 8 + t.n)
+        assert peak(stream) <= block + _SLACK
+        # the text path holds the 16 MiB table as one str and again as bytes
+        assert peak(lambda: path.write_text(format_tournament(t))) > 2 * t.n * t.n
+
 
 _H4 = "TFP v1\nn=4 vstar=0\n"
 
@@ -480,6 +508,11 @@ class TestParser:
         for comment in (f"x{sep}TFP v1", f"x{sep}"):
             with pytest.raises(ValueError, match="holds a line break"):
                 format_tournament(t4_yes, comments=("ok", comment))
+            # and the writer checks every comment before its first byte
+            f = io.BytesIO()
+            with pytest.raises(ValueError, match="holds a line break"):
+                write_tournament(t4_yes, f, comments=("ok", comment))
+            assert f.getvalue() == b""
 
     def test_comments_and_blanks_keep_line_numbers(self):
         text = "# a comment\n\nTFP v1\n# another\nn=4 vstar=0\n0101\n0011\n1000\n0010\n"

@@ -15,6 +15,8 @@ from tfpsolve import (
     parse_tournament,
     simulate,
 )
+from tfpsolve.core import _BLOCK
+from tfpsolve.instances import _coins
 
 
 def _sha256(text: str) -> str:
@@ -71,6 +73,26 @@ def test_gen_planted_pinned_text(nks):
     t, s = gen_planted_yes(n, k, seed=seed)
     got = (_sha256(format_tournament(t)), _sha256(" ".join(map(str, s.leaf_order))))
     assert got == PLANTED_PINS[nks]
+
+
+# the coin count of the first full 128-row block at n=2048: pairs (u, v),
+# 128 <= u < 256, u < v < 2048
+_FULL_BLOCK = sum(2047 - u for u in range(_BLOCK, 2 * _BLOCK))
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "half_word_held"])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 127, _FULL_BLOCK])
+def test_coins_are_the_integers_draw(count, buffered):
+    rng, twin = np.random.default_rng(count), np.random.default_rng(count)
+    if buffered:  # as gen_random's choice of conquerors leaves it
+        for g in (rng, twin):
+            g.choice(np.arange(1, 2048), size=5, replace=False)
+    assert rng.bit_generator.state["has_uint32"] == buffered
+    coins = _coins(rng, count)
+    assert coins.dtype == bool
+    assert np.array_equal(coins, twin.integers(0, 2, size=count))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert np.array_equal(rng.integers(0, 2, size=3), twin.integers(0, 2, size=3))
 
 
 def _reference_masks(n: int, k: int, seed: int, planted: bool) -> tuple[int, ...]:
