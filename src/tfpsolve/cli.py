@@ -4,9 +4,12 @@ Subcommands: ``decide`` (YES/NO), ``solve`` (YES plus a seeding and the match
 trace), ``gen`` (write a generated instance, plus a .witness sidecar when
 planted), ``verify-seeding`` (replay a seeding), ``check-structure``
 (niceness report and repair), ``bench`` (wall-clock table; timings are the
-one output that is not reproducible byte-for-byte).  ``decide``, ``solve``
-and ``bench`` call ``indeg.solve``; an instance past the limit of the solver
-it routes to exits 2 with that one limit.
+one output that is not reproducible byte-for-byte).  ``bench`` calls
+``indeg.solve``, and ``decide`` and ``solve`` call its sibling
+``indeg._solve_played``, which also returns the rounds of the one play that
+verified the seeding: ``solve`` prints those rounds, so a solved seeding is
+played once.  ``verify-seeding`` also plays its seeding once.  An instance
+past the limit of the solver it routes to exits 2 with that one limit.
 
 Exit codes: 0 the favorite can win / the command succeeded, 1 it cannot /
 the seeding loses, 2 any error.  Output for a fixed file and algorithm is
@@ -33,12 +36,14 @@ from .core import (
     ParseError,
     Seeding,
     Tournament,
-    format_trace,
+    _render,
+    _winner,
+    bracket_rounds,
     parse_tournament,
     simulate,
     write_tournament,
 )
-from .indeg import ALGOS, pick, solve
+from .indeg import ALGOS, _solve_played, pick, solve
 from .instances import gen_planted_yes, gen_random
 from .oracles import niceness, repair_to_nice
 
@@ -80,19 +85,27 @@ def _read_seeding(args: argparse.Namespace, n: int) -> Seeding:
     return Seeding(order)
 
 
+def _leaves(order: tuple[int, ...]) -> str:
+    """A leaf order as one line of ids, the form of every ``seeding:`` line
+    and of a ``.witness`` file."""
+    return " ".join(["%d"] * len(order)) % order
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
-    """``decide`` and ``solve``; ``solve`` adds the seeding and its trace to a YES."""
+    """``decide`` and ``solve``; ``solve`` adds to a YES the seeding and the
+    rounds of the one play that verified it."""
     t = _load(args.file)
     algo = pick(t, args.algo)
     _check_multiplier(args)
-    s = solve(t, algo)
-    print("YES" if s is not None else "NO")
+    played = _solve_played(t, algo)
+    print("YES" if played is not None else "NO")
     print(f"algo: {algo} (auto)" if args.algo == "auto" else f"algo: {algo}")
-    if s is None:
+    if played is None:
         return 1
     if args.command == "solve":
-        print("seeding:", " ".join(map(str, s.leaf_order)))
-        print(format_trace(simulate(t, s)))
+        s, rounds = played
+        print("seeding:", _leaves(s.leaf_order))
+        print(_render(rounds, t.vstar))
     return 0
 
 
@@ -112,18 +125,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
     print(f"wrote {out}")
     if witness is not None:
         side = Path(str(out) + ".witness")
-        side.write_text(" ".join(map(str, witness.leaf_order)) + "\n")
+        side.write_text(_leaves(witness.leaf_order) + "\n")
         print(f"wrote {side}")
     return 0
 
 
 def cmd_verify_seeding(args: argparse.Namespace) -> int:
     t = _load(args.file)
-    s = _read_seeding(args, t.n)
-    trace = simulate(t, s)
-    print("seeding:", " ".join(map(str, s.leaf_order)))
-    print(format_trace(trace))
-    ok = trace.champion == t.vstar
+    order = _read_seeding(args, t.n).leaf_order
+    rounds = bracket_rounds(t, order)
+    champion = _winner(order, rounds)
+    print("seeding:", _leaves(order))
+    print(_render(rounds, champion))
+    ok = champion == t.vstar
     print(f"winning: {'yes' if ok else 'no'}")
     return 0 if ok else 1
 
@@ -141,7 +155,7 @@ def cmd_check_structure(args: argparse.Namespace) -> int:
         print(f"round {i + 1}: {'nice' if ok else 'not-nice'}")
     print(f"nice: {'yes' if rep.all_nice else 'no'}")
     fixed, rewrites = repair_to_nice(t, s)
-    print("repaired seeding:", " ".join(map(str, fixed.leaf_order)))
+    print("repaired seeding:", _leaves(fixed.leaf_order))
     print(f"repair rounds: {rewrites}")
     fixed_trace = simulate(t, fixed)
     print(f"repaired nice: {'yes' if niceness(t, fixed_trace).all_nice else 'no'}")

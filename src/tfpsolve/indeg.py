@@ -25,11 +25,13 @@ outside its in-set, so the favorite wins every later match and comes
 first.
 
 ``solve`` is the one solver entry point, shared by the command line and
-the tests; ``pick`` resolves ``auto``.  ``solve`` routes by the favorite's
-out-degree ell and in-degree k, both read off its bitmask row.  Except for
-the ``brute`` oracle, which runs unfiltered, the degree certificate comes
-first: a favorite that beats fewer than log2(n) players cannot win log2(n)
-matches, so the answer is NO.  Otherwise n <= 2**ell, and the out-degree
+the tests; ``pick`` resolves ``auto``.  It wraps ``_solve_played``, which
+returns the seeding together with the rounds of the one play that checked
+it, and the command line prints those rounds.  ``solve`` routes by the
+favorite's out-degree ell and in-degree k, both read off its bitmask row.
+Except for the ``brute`` oracle, which runs unfiltered, the degree
+certificate comes first: a favorite that beats fewer than log2(n) players
+cannot win log2(n) matches, so the answer is NO.  Otherwise n <= 2**ell, and the out-degree
 parameterization is exact search; ``indeg`` takes the witness-forest search
 instead when k*2**k < n.  Ahead of the exact table, up to ``EXACT_MAX_N``
 players, a second certificate runs: the favorite's depth profile, which
@@ -49,7 +51,18 @@ import math
 import operator
 from typing import Sequence
 
-from .core import Seeding, Tournament, _covered, _fold, _in_mask, _players, _round, champion_of
+from .core import (
+    Match,
+    Seeding,
+    Tournament,
+    _covered,
+    _fold,
+    _in_mask,
+    _players,
+    _round,
+    _winner,
+    bracket_rounds,
+)
 from .embed import EXACT_MAX_N, solve_exact
 from .oracles import brute_force_decide
 
@@ -217,9 +230,10 @@ def solve(t: Tournament, algo: str = "auto") -> Seeding | None:
 
     ``algo`` is one of ``ALGOS`` (see ``pick``).  Each solver checks its
     limit on entry, before any work.  Every YES is verified by simulation
-    before it is returned.  A None on the exact route comes from one of
-    three certificates: the degree bound, the depth profile (both below)
-    or the exact table itself.  A None from the witness-forest search is
+    before it is returned: ``_solve_played`` plays the seeding once and
+    returns it with its rounds, and ``solve`` keeps the seeding.  A None on
+    the exact route comes from one of three certificates: the degree bound,
+    the depth profile (both below) or the exact table itself.  A None from the witness-forest search is
     exact by ``find_wwf``'s proof.
 
     Play a bracket on n = 2**m players and hang each loser off the player
@@ -237,6 +251,14 @@ def solve(t: Tournament, algo: str = "auto") -> Seeding | None:
     against milliseconds for the table; past the cap the table's limit
     fires as before.
     """
+    played = _solve_played(t, algo)
+    return None if played is None else played[0]
+
+
+def _solve_played(t: Tournament, algo: str) -> tuple[Seeding, list[list[Match]]] | None:
+    """``solve``'s seeding with the rounds of the one play that verified
+    it, as ``bracket_rounds`` returns them, or None.  A seeding whose
+    champion is not the favorite raises AssertionError."""
     algo = pick(t, algo)
     k = t.k
     if algo == "brute":
@@ -250,6 +272,9 @@ def solve(t: Tournament, algo: str = "auto") -> Seeding | None:
     else:
         trees = find_wwf(t)
         s = None if trees is None else complete_wwf(t, trees)
-    if s is not None and champion_of(t, s.leaf_order) != t.vstar:
+    if s is None:
+        return None
+    rounds = bracket_rounds(t, s.leaf_order)
+    if _winner(s.leaf_order, rounds) != t.vstar:
         raise AssertionError("solver produced a seeding that does not crown the favorite")
-    return s
+    return s, rounds

@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import importlib
 from pathlib import Path
 
 import pytest
@@ -163,6 +165,97 @@ class TestSolve:
         )
         assert code == 0
         assert "seeding: 0 3 1 2" in out
+
+
+class TestEdgeSizes:
+    """Full stdout at n=1, where no match is played, and at n=2."""
+
+    ONE = "TFP v1\nn=1 vstar=0\n0\n"
+    TWO = "TFP v1\nn=2 vstar=0\n01\n00\n"
+    TWO_LOSES = "TFP v1\nn=2 vstar=1\n01\n00\n"
+
+    @staticmethod
+    def write(tmp_path, text):
+        p = tmp_path / "in.tfp"
+        p.write_text(text)
+        return str(p)
+
+    @pytest.mark.parametrize("algo", ["auto", "brute", "exact", "outdeg", "indeg"])
+    @pytest.mark.parametrize(
+        "text, rounds",
+        [(ONE, ""), (TWO, "round 1: (0,1)\n")],
+        ids=["n1", "n2"],
+    )
+    def test_yes(self, capsys, tmp_path, algo, text, rounds):
+        path = self.write(tmp_path, text)
+        label = "exact (auto)" if algo == "auto" else algo
+        seeding = "0" if text == self.ONE else "0 1"
+        assert run(capsys, "decide", path, "--algo", algo) == (0, f"YES\nalgo: {label}\n", "")
+        assert run(capsys, "solve", path, "--algo", algo) == (
+            0, f"YES\nalgo: {label}\nseeding: {seeding}\n{rounds}champion: 0\n", ""
+        )
+
+    @pytest.mark.parametrize("command", ["decide", "solve"])
+    def test_no(self, capsys, tmp_path, command):
+        path = self.write(tmp_path, self.TWO_LOSES)
+        assert run(capsys, command, path) == (1, "NO\nalgo: outdeg (auto)\n", "")
+
+    @pytest.mark.parametrize(
+        "text, seeding, code, out",
+        [
+            (ONE, "0", 0, "seeding: 0\nchampion: 0\nwinning: yes\n"),
+            (TWO, "1 0", 0, "seeding: 1 0\nround 1: (0,1)\nchampion: 0\nwinning: yes\n"),
+            (TWO_LOSES, "0 1", 1, "seeding: 0 1\nround 1: (0,1)\nchampion: 0\nwinning: no\n"),
+        ],
+        ids=["n1", "n2", "n2_loses"],
+    )
+    def test_verify_seeding(self, capsys, tmp_path, text, seeding, code, out):
+        path = self.write(tmp_path, text)
+        assert run(capsys, "verify-seeding", path, "--seeding", seeding) == (code, out, "")
+
+
+class TestOnePlay:
+    """A solved or given seeding is played once, and what is printed comes
+    from that play: ``simulate`` never runs."""
+
+    @staticmethod
+    def count_plays(monkeypatch):
+        """Counts of ``simulate`` calls, and of full-size brackets played
+        through ``bracket_rounds``, ``champion_of`` or ``simulate``, made
+        through any module of the package."""
+        plays = collections.Counter()
+
+        def counted(name, fn):
+            def play(t, order):
+                leaves = order.leaf_order if name == "simulate" else order
+                plays[name] += 1
+                plays["full"] += len(leaves) == t.n
+                return fn(t, order)
+
+            return play
+
+        for mod in ("core", "cli", "indeg", "embed", "oracles", "instances"):
+            mod = importlib.import_module(f"tfpsolve.{mod}")
+            for name in ("bracket_rounds", "champion_of", "simulate"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        return plays
+
+    @pytest.mark.parametrize("command", ["decide", "solve"])
+    @pytest.mark.parametrize("n, k, algo", [(4, 1, "exact"), (16, 5, "auto"), (64, 2, "indeg")])
+    def test_yes_plays_its_seeding_once(self, capsys, monkeypatch, tmp_path, command, n, k, algo):
+        path = tmp_path / "in.tfp"
+        path.write_text(format_tournament(gen_planted_yes(n, k, seed=n)[0]))
+        plays = self.count_plays(monkeypatch)
+        code, out, _ = run(capsys, command, str(path), "--algo", algo)
+        assert code == 0 and out.startswith("YES\n")
+        assert plays["full"] == 1 and plays["simulate"] == 0
+
+    @pytest.mark.parametrize("seeding, code", [("0 1 2 3", 0), ("0 2 1 3", 1)])
+    def test_verify_seeding_plays_once(self, capsys, monkeypatch, yes_file, seeding, code):
+        plays = self.count_plays(monkeypatch)
+        assert run(capsys, "verify-seeding", yes_file, "--seeding", seeding)[0] == code
+        assert plays == {"bracket_rounds": 1, "full": 1}
 
 
 class TestBenchmarkArgv:

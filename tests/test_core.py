@@ -39,6 +39,8 @@ from tfpsolve.core import (
     _packed,
     _parse_canonical,
     _parse_lines,
+    _players,
+    _render,
     _transpose,
     write_tournament,
 )
@@ -152,6 +154,14 @@ class TestTournament:
         assert t.in_neighbors == {u for u in t.players if t.beats(u, vstar)}
         assert t.out_neighbors == {u for u in t.players if t.beats(vstar, u)}
         assert t.k == len(t.in_neighbors) and t.ell == len(t.out_neighbors)
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 4096])
+    def test_neighbor_sets_match_the_bit_loop(self, n):
+        for k in sorted({0, n // 3, n - 1}):
+            t = gen_random(n, k, seed=n + k)
+            assert t.out_neighbors == frozenset(_players(t.out_masks[t.vstar]))
+            assert t.in_neighbors == frozenset(_players(_in_mask(t.out_masks, t.vstar)))
+            assert len(t.in_neighbors) == k
 
 
 def _cell_error(masks: list[int], n: int) -> str | None:
@@ -887,3 +897,44 @@ def test_bracket_rounds_on_subset(t4_yes):
 def test_leaf_count_not_power_of_two(t4_yes, play, order):
     with pytest.raises(ValueError, match=f"leaf count {len(order)} is not a power of two"):
         play(t4_yes, order)
+
+
+class TestPlayersOutOfRange:
+    """Each public bracket helper refuses an id outside 0..n-1 instead of
+    reading another player's row through a negative index or a missing bit."""
+
+    @pytest.mark.parametrize("u, v, bad", [(-1, 0, -1), (0, 4, 4), (5, -2, 5)])
+    def test_beats(self, t4_yes, u, v, bad):
+        with pytest.raises(ValueError, match=f"^the match names player {bad}, not one of the 4 players$"):
+            t4_yes.beats(u, v)
+
+    @pytest.mark.parametrize("order, bad", [([-1, 0], -1), ([0, 7], 7), ([0, 1, 2, 4], 4)])
+    def test_champion_of(self, t4_yes, order, bad):
+        with pytest.raises(ValueError, match=f"^the bracket names player {bad}, not one of the 4 players$"):
+            champion_of(t4_yes, order)
+        # sub-brackets stay legal
+        assert champion_of(t4_yes, [3]) == 3 and champion_of(t4_yes, [1, 2]) == 1
+
+    @pytest.mark.parametrize("order, bad", [([0, 7], 7), ([-4, 1], -4), ([0, 1, 3, 2**70], 2**70)])
+    def test_bracket_rounds(self, t4_yes, order, bad):
+        with pytest.raises(ValueError, match=f"^the bracket names player {bad}, not one of the 4 players$"):
+            bracket_rounds(t4_yes, order)
+
+
+@pytest.mark.parametrize("rounds", range(7))
+def test_render_of_played_rounds_is_format_trace(rounds):
+    """The renderer over ``bracket_rounds`` prints what ``format_trace`` of
+    ``simulate`` prints, for winning and losing orders alike."""
+    n = 1 << rounds
+    rng = np.random.default_rng(rounds)
+    won = set()
+    for seed in range(6):
+        t, witness = gen_planted_yes(n, seed % (n - n.bit_length() + 1), seed=seed)
+        orders = [witness.leaf_order] + [tuple(map(int, rng.permutation(n))) for _ in range(3)]
+        for u in gen_random(n, seed % n, seed=seed), t:
+            for order in orders:
+                want = format_trace(simulate(u, Seeding(order)))
+                champion = champion_of(u, order)
+                assert _render(bracket_rounds(u, order), champion) == want
+                won.add(champion == u.vstar)
+    assert won == ({True} if n == 1 else {True, False})

@@ -19,6 +19,7 @@ import tfpsolve
 from tfpsolve import (
     Seeding,
     Tournament,
+    bracket_rounds,
     brute_force_decide,
     brute_force_wwf,
     champion_of,
@@ -34,7 +35,7 @@ from tfpsolve import (
 from tfpsolve.cli import _check_multiplier
 from tfpsolve.core import _in_mask, _packed, _strip
 from tfpsolve.embed import _split_levels, _winners_table
-from tfpsolve.indeg import _apart, _depth_profile_holds, _find
+from tfpsolve.indeg import _apart, _depth_profile_holds, _find, _solve_played
 
 
 def dominating_conquerors(n: int) -> Tournament:
@@ -518,6 +519,24 @@ class TestSolveGate:
         monkeypatch.setattr(tfpsolve.indeg, "brute_force_decide", lambda t: losing)
         with pytest.raises(AssertionError, match="does not crown the favorite"):
             solve(t4_yes, algo)
+
+
+def test_solve_keeps_the_seeding_of_its_one_play():
+    """``_solve_played`` returns ``solve``'s seeding with the rounds that
+    ``bracket_rounds`` plays over it, on the exact, brute and forest routes."""
+    cases = [t for _, t in profile_corpus(60)]
+    cases += [gen_planted_yes(n, k, seed=n + k)[0] for n in (32, 64, 128) for k in (1, 2)]
+    yes = 0
+    for t in cases:
+        for algo in ("auto", "indeg") + (("brute",) if t.n <= 8 else ()):
+            played = _solve_played(t, algo)
+            assert (played and played[0]) == solve(t, algo)
+            if played is not None:
+                seeding, rounds = played
+                assert rounds == bracket_rounds(t, seeding.leaf_order)
+                assert (rounds[-1][0][0] if rounds else seeding.leaf_order[0]) == t.vstar
+                yes += 1
+    assert yes > 50
 
 
 def profile_corpus(count: int):
