@@ -7,12 +7,12 @@ the instance format and simulation, ``embed``/``indeg`` for the solvers,
 ``oracles`` for exhaustive baselines and structural checks, and ``cli`` for
 the command-line entry point.  Every bracket tree, in the solvers and the
 oracles alike, is held as the leaf order of a bracket its root wins, root
-first, and the package builds no match schedule except as output
-(``simulate``, ``bracket_rounds``, ``format_trace``).
+first.  A played bracket has one record, the rounds of matches that
+``bracket_rounds`` returns: ``niceness`` reads them and ``format_trace``
+prints them.
 """
 
 from .core import (
-    KnockoutTrace,
     ParseError,
     Seeding,
     Tournament,
@@ -21,7 +21,6 @@ from .core import (
     format_tournament,
     format_trace,
     parse_tournament,
-    simulate,
 )
 from .embed import solve_exact
 from .indeg import complete_wwf, find_wwf, pick, solve
@@ -41,7 +40,6 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KnockoutTrace",
     "NicenessReport",
     "OracleLimitError",
     "ParseError",
@@ -64,7 +62,6 @@ __all__ = [
     "parse_tournament",
     "pick",
     "repair_to_nice",
-    "simulate",
     "solve",
     "solve_exact",
 ]

@@ -8,8 +8,9 @@ one output that is not reproducible byte-for-byte).  ``bench`` calls
 ``indeg.solve``, and ``decide`` and ``solve`` call its sibling
 ``indeg._solve_played``, which also returns the rounds of the one play that
 verified the seeding: ``solve`` prints those rounds, so a solved seeding is
-played once.  ``verify-seeding`` also plays its seeding once.  An instance
-past the limit of the solver it routes to exits 2 with that one limit.
+played once.  ``verify-seeding`` plays its seeding once too, and
+``check-structure`` once plus once per repair rewrite.  An instance past
+the limit of the solver it routes to exits 2 with that one limit.
 
 Exit codes: 0 the favorite can win / the command succeeded, 1 it cannot /
 the seeding loses, 2 any error.  Output for a fixed file and algorithm is
@@ -36,16 +37,15 @@ from .core import (
     ParseError,
     Seeding,
     Tournament,
-    _render,
     _winner,
     bracket_rounds,
+    format_trace,
     parse_tournament,
-    simulate,
     write_tournament,
 )
 from .indeg import ALGOS, _solve_played, pick, solve
 from .instances import gen_planted_yes, gen_random
-from .oracles import niceness, repair_to_nice
+from .oracles import _repair_played, niceness
 
 
 def _load(path: str) -> Tournament:
@@ -105,7 +105,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if args.command == "solve":
         s, rounds = played
         print("seeding:", _leaves(s.leaf_order))
-        print(_render(rounds, t.vstar))
+        print(format_trace(rounds, t.vstar))
     return 0
 
 
@@ -136,7 +136,7 @@ def cmd_verify_seeding(args: argparse.Namespace) -> int:
     rounds = bracket_rounds(t, order)
     champion = _winner(order, rounds)
     print("seeding:", _leaves(order))
-    print(_render(rounds, champion))
+    print(format_trace(rounds, champion))
     ok = champion == t.vstar
     print(f"winning: {'yes' if ok else 'no'}")
     return 0 if ok else 1
@@ -145,22 +145,21 @@ def cmd_verify_seeding(args: argparse.Namespace) -> int:
 def cmd_check_structure(args: argparse.Namespace) -> int:
     t = _load(args.file)
     s = _read_seeding(args, t.n)
-    trace = simulate(t, s)
-    if trace.champion != t.vstar:
+    rounds = bracket_rounds(t, s.leaf_order)
+    if _winner(s.leaf_order, rounds) != t.vstar:
         print("winning: no")
         return 1
     print("winning: yes")
-    rep = niceness(t, trace)
+    rep = niceness(t, rounds)
     for i, ok in enumerate(rep.per_round):
         print(f"round {i + 1}: {'nice' if ok else 'not-nice'}")
     print(f"nice: {'yes' if rep.all_nice else 'no'}")
-    fixed, rewrites = repair_to_nice(t, s)
+    fixed, rewrites, rounds = _repair_played(t, s, rounds)
     print("repaired seeding:", _leaves(fixed.leaf_order))
     print(f"repair rounds: {rewrites}")
-    fixed_trace = simulate(t, fixed)
-    print(f"repaired nice: {'yes' if niceness(t, fixed_trace).all_nice else 'no'}")
+    print(f"repaired nice: {'yes' if niceness(t, rounds).all_nice else 'no'}")
     m = min(t.k, t.num_rounds)
-    standing = len(fixed_trace.survivors[m] & t.in_neighbors)
+    standing = len(t.in_neighbors.difference(l for matches in rounds[:m] for _, l in matches))
     print(f"conquerors after round {m}: {standing}")
     print(f"conqueror-elimination-check: {'pass' if standing == 0 else 'fail'}")
     return 0

@@ -48,13 +48,11 @@ __all__ = [
     "ParseError",
     "Tournament",
     "Seeding",
-    "KnockoutTrace",
     "parse_tournament",
     "format_tournament",
     "write_tournament",
     "bracket_rounds",
     "champion_of",
-    "simulate",
     "format_trace",
 ]
 
@@ -339,21 +337,6 @@ class Seeding:
         return len(self.leaf_order)
 
 
-@dataclass(frozen=True)
-class KnockoutTrace:
-    """Full record of one played-out bracket.
-
-    ``survivors[r]`` is the set still alive after round r (``survivors[0]`` is
-    everyone), ``losers[r-1]`` the players eliminated in round r, ``rounds[r-1]``
-    that round's (winner, loser) matches.
-    """
-
-    rounds: tuple[frozenset[Match], ...]
-    survivors: tuple[frozenset[int], ...]
-    losers: tuple[frozenset[int], ...]
-    champion: int
-
-
 _META_RE = re.compile("n=([0-9]+) vstar=([0-9]+)")  # \d would take any Unicode digit
 
 
@@ -484,7 +467,8 @@ def _row_masks(rows: list[str], n: int) -> tuple[np.ndarray, int]:
     strip of the rows already packed, so no n-by-n bool matrix is held.
     """
     m = next((i for i, row in enumerate(rows) if len(row) != n or not row.isascii()), len(rows))
-    packed = np.zeros((m, (n + 7) // 8), np.uint8)
+    # with no row read, n is the header's alone and may be past any array size
+    packed = np.zeros((m, (n + 7) // 8 if m else 0), np.uint8)
     for lo in range(0, m, _BLOCK):
         hi = min(m, lo + _BLOCK)
         cells = np.array(rows[lo:hi], dtype=f"S{n}").view(np.uint8).reshape(hi - lo, n)
@@ -572,7 +556,8 @@ def _bracket(t: Tournament, order: Sequence[int]) -> list[int]:
 
 
 def bracket_rounds(t: Tournament, order: Sequence[int]) -> list[list[Match]]:
-    """Play a bracket over ``order`` and return each round's matches in slot order."""
+    """Play a bracket over ``order`` and return each round's matches in slot
+    order: the package's one record of a played bracket."""
     out, rounds = t.out_masks, []
     cur = _bracket(t, order)
     while len(cur) > 1:
@@ -646,28 +631,9 @@ def _covered(t: Tournament, trees: Sequence[Sequence[int]]) -> int:
     return covered
 
 
-def simulate(t: Tournament, s: Seeding) -> KnockoutTrace:
-    """Play out the bracket given by ``s`` and record every round."""
-    if s.n != t.n:
-        raise ValueError(f"seeding over {s.n} players does not fit n={t.n}")
-    played = bracket_rounds(t, s.leaf_order)
-    survivors = [frozenset(s.leaf_order)]
-    rounds = []
-    losers = []
-    for matches in played:
-        rounds.append(frozenset(matches))
-        losers.append(frozenset(l for _, l in matches))
-        survivors.append(frozenset(w for w, _ in matches))
-    return KnockoutTrace(
-        rounds=tuple(rounds),
-        survivors=tuple(survivors),
-        losers=tuple(losers),
-        champion=_winner(s.leaf_order, played),
-    )
-
-
-def _render(rounds: Iterable[Iterable[Match]], champion: int) -> str:
-    """``round r: (w,l) ...`` lines plus the champion.  Each round's matches
+def format_trace(rounds: Iterable[Iterable[Match]], champion: int) -> str:
+    """The rounds of a played bracket, as ``bracket_rounds`` returns them,
+    as ``round r: (w,l) ...`` lines plus the champion.  Each round's matches
     are sorted by winner, which is their sorted order since a round's
     winners are distinct.  The whole trace is one ``%`` format over the
     flattened matches; one format per round held every round's text beside
@@ -680,8 +646,3 @@ def _render(rounds: Iterable[Iterable[Match]], champion: int) -> str:
     lines.append("champion: %d")
     flat.append(champion)
     return "\n".join(lines) % tuple(flat)
-
-
-def format_trace(trace: KnockoutTrace) -> str:
-    """Render a trace as ``round r: (w,l) ...`` lines plus the champion."""
-    return _render(trace.rounds, trace.champion)

@@ -6,7 +6,8 @@ by straight backtracking, and the niceness repair regroups the blocks of a
 partly played bracket.  Hard player caps raise ``OracleLimitError`` before a
 call can silently take hours.  A bracket tree is held as in the solvers: the
 leaf order of a bracket its root wins, root first, and ``core._fold`` builds
-it from blocks.
+it from blocks.  A played bracket is read as the rounds of
+``core.bracket_rounds``, and the repair returns the rounds it last played.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
-    KnockoutTrace,
+    Match,
     Seeding,
     Tournament,
     _covered,
     _fold,
     _round,
+    _winner,
+    bracket_rounds,
     champion_of,
-    simulate,
 )
 
 __all__ = [
@@ -90,14 +92,16 @@ class NicenessReport:
     all_nice: bool
 
 
-def niceness(t: Tournament, trace: KnockoutTrace) -> NicenessReport:
-    """A round is *nice* when it eliminates someone who beats the favorite,
-    or when nobody of that kind was still standing as it began."""
+def niceness(t: Tournament, rounds: Sequence[Sequence[Match]]) -> NicenessReport:
+    """Read from the rounds of a played bracket, as ``bracket_rounds``
+    returns them: a round is *nice* when one of its losers beats the
+    favorite, or when none of the players in it does."""
     ins = t.in_neighbors
-    per = []
-    for i in range(len(trace.rounds)):
-        per.append(bool(trace.losers[i] & ins) or not (trace.survivors[i] & ins))
-    return NicenessReport(per_round=tuple(per), all_nice=all(per))
+    per = tuple(
+        any(l in ins for _, l in matches) or not any(w in ins for w, _ in matches)
+        for matches in rounds
+    )
+    return NicenessReport(per_round=per, all_nice=all(per))
 
 
 def repair_to_nice(t: Tournament, s: Seeding) -> tuple[Seeding, int]:
@@ -121,30 +125,38 @@ def repair_to_nice(t: Tournament, s: Seeding) -> tuple[Seeding, int]:
     conqueror outlasted the old final.  So the last non-nice round moves
     earlier with each rewrite, and at most log2(n) rewrites happen.
     """
-    trace = simulate(t, s)
-    if trace.champion != t.vstar:
+    if s.n != t.n:
+        raise ValueError(f"seeding over {s.n} players does not fit n={t.n}")
+    return _repair_played(t, s, bracket_rounds(t, s.leaf_order))[:2]
+
+
+def _repair_played(
+    t: Tournament, s: Seeding, rounds: list[list[Match]]
+) -> tuple[Seeding, int, list[list[Match]]]:
+    """``repair_to_nice`` from the rounds ``bracket_rounds`` played over
+    ``s``, plus the rounds of the seeding it returns."""
+    if _winner(s.leaf_order, rounds) != t.vstar:
         raise ValueError("can only repair a seeding that crowns the favorite")
     total = t.num_rounds
-    cur = s
     count = 0
     while True:
-        rep = niceness(t, trace)
+        rep = niceness(t, rounds)
         if rep.all_nice:
-            return cur, count
+            return s, count, rounds
         p = max(i for i, ok in enumerate(rep.per_round) if not ok) + 1
         if p >= total:
             raise AssertionError("the final round of a winning bracket is always nice")
-        blocks = [(v,) for v in cur.leaf_order]
+        blocks = [(v,) for v in s.leaf_order]
         for _ in range(p):
             blocks = _round(t, blocks)
         half = len(blocks[0]) // 2
         lost = sorted(b[half:] for b in blocks)
         if t.in_neighbors.intersection(b[0] for b in lost):
             raise AssertionError("a non-nice round eliminated a conqueror")
-        cur = Seeding(_fold(t, [b[:half] for b in blocks] + lost))
-        trace = simulate(t, cur)
+        s = Seeding(_fold(t, [b[:half] for b in blocks] + lost))
+        rounds = bracket_rounds(t, s.leaf_order)
         count += 1
-        if trace.champion != t.vstar:
+        if _winner(s.leaf_order, rounds) != t.vstar:
             raise AssertionError("the rewrite lost the favorite")
         if count > total:
             raise AssertionError("repair failed to terminate")

@@ -1,20 +1,75 @@
-"""Match schedules: the tests' reference for rebuilding and repairing brackets.
+"""Match schedules: the tests' reference for playing, rebuilding and repairing brackets.
 
 A schedule lists each round's (winner, loser) matches.  The package plays
-and repairs brackets on leaf orders and produces schedules only as output
-(``simulate``, ``bracket_rounds``).  This module keeps the schedule form as
-a reference the tests compare that against: ``validate_match_sequence``
-checks a schedule, ``seeding_from_sequence`` folds one back into a seeding,
-and ``repair_to_nice`` is the niceness repair written as a schedule
-rewrite, which ``tfpsolve.repair_to_nice`` must match seeding for seeding.
+and repairs brackets on leaf orders and records a played bracket only as
+the rounds ``bracket_rounds`` returns.  This module keeps the older forms
+as references the tests compare the package against: ``Trace`` and
+``simulate`` are the record of a played bracket as per-round frozensets of
+matches, survivors and losers, with ``niceness`` and ``format_trace`` read
+from it; ``validate_match_sequence`` checks a schedule,
+``seeding_from_sequence`` folds one back into a seeding, and
+``repair_to_nice`` is the niceness repair written as a schedule rewrite,
+which ``tfpsolve.repair_to_nice`` must match seeding for seeding.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from tfpsolve import Seeding, Tournament, bracket_rounds, champion_of, niceness, simulate
+from tfpsolve import NicenessReport, Seeding, Tournament, bracket_rounds, champion_of
 from tfpsolve.core import Match
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Full record of one played-out bracket.
+
+    ``survivors[r]`` is the set still alive after round r (``survivors[0]`` is
+    everyone), ``losers[r-1]`` the players eliminated in round r, ``rounds[r-1]``
+    that round's (winner, loser) matches.
+    """
+
+    rounds: tuple[frozenset[Match], ...]
+    survivors: tuple[frozenset[int], ...]
+    losers: tuple[frozenset[int], ...]
+    champion: int
+
+
+def simulate(t: Tournament, s: Seeding) -> Trace:
+    """Play out the bracket given by ``s`` one match at a time through
+    ``Tournament.beats`` and record every round."""
+    if s.n != t.n:
+        raise ValueError(f"seeding over {s.n} players does not fit n={t.n}")
+    cur = list(s.leaf_order)
+    rounds, survivors, losers = [], [frozenset(cur)], []
+    while len(cur) > 1:
+        matches = [(u, v) if t.beats(u, v) else (v, u) for u, v in zip(cur[::2], cur[1::2])]
+        cur = [w for w, _ in matches]
+        rounds.append(frozenset(matches))
+        losers.append(frozenset(l for _, l in matches))
+        survivors.append(frozenset(cur))
+    return Trace(tuple(rounds), tuple(survivors), tuple(losers), cur[0])
+
+
+def niceness(t: Tournament, trace: Trace) -> NicenessReport:
+    """A round is *nice* when it eliminates someone who beats the favorite,
+    or when nobody of that kind was still standing as it began."""
+    ins = t.in_neighbors
+    per = tuple(
+        bool(trace.losers[i] & ins) or not trace.survivors[i] & ins
+        for i in range(len(trace.rounds))
+    )
+    return NicenessReport(per_round=per, all_nice=all(per))
+
+
+def format_trace(trace: Trace) -> str:
+    """``round r: (w,l) ...`` lines, each round's matches sorted, plus the champion."""
+    lines = [
+        f"round {r}: " + " ".join(f"({w},{l})" for w, l in sorted(matches))
+        for r, matches in enumerate(trace.rounds, start=1)
+    ]
+    return "\n".join(lines + [f"champion: {trace.champion}"])
 
 
 def validate_match_sequence(

@@ -82,8 +82,12 @@ class TestDecide:
                 b"TFP v1\n# x\x0cgarbage\nn=2 vstar=0\n01\n00\n",
                 "error: line 3, col 1: malformed header: expected 'n=<int> vstar=<int>'\n",
             ),
+            (
+                b"TFP v1\nn=73786976294838206464 vstar=0\n",
+                "error: line 2, col 1: unexpected end of input: expected matrix row 0\n",
+            ),
         ],
-        ids=["non_utf8", "form_feed_in_header_comment"],
+        ids=["non_utf8", "form_feed_in_header_comment", "huge_n"],
     )
     def test_header_the_line_loop_rejects(self, capsys, tmp_path, data, err):
         p = tmp_path / "bad.tfp"
@@ -216,27 +220,26 @@ class TestEdgeSizes:
 
 class TestOnePlay:
     """A solved or given seeding is played once, and what is printed comes
-    from that play: ``simulate`` never runs."""
+    from that play; ``check-structure`` plays each repair rewrite once more."""
 
     @staticmethod
     def count_plays(monkeypatch):
-        """Counts of ``simulate`` calls, and of full-size brackets played
-        through ``bracket_rounds``, ``champion_of`` or ``simulate``, made
-        through any module of the package."""
+        """Counts of calls to ``bracket_rounds`` and ``champion_of``, and of
+        the full-size brackets among them, made through any module of the
+        package."""
         plays = collections.Counter()
 
         def counted(name, fn):
             def play(t, order):
-                leaves = order.leaf_order if name == "simulate" else order
                 plays[name] += 1
-                plays["full"] += len(leaves) == t.n
+                plays["full"] += len(order) == t.n
                 return fn(t, order)
 
             return play
 
         for mod in ("core", "cli", "indeg", "embed", "oracles", "instances"):
             mod = importlib.import_module(f"tfpsolve.{mod}")
-            for name in ("bracket_rounds", "champion_of", "simulate"):
+            for name in ("bracket_rounds", "champion_of"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         return plays
@@ -249,13 +252,30 @@ class TestOnePlay:
         plays = self.count_plays(monkeypatch)
         code, out, _ = run(capsys, command, str(path), "--algo", algo)
         assert code == 0 and out.startswith("YES\n")
-        assert plays["full"] == 1 and plays["simulate"] == 0
+        assert plays["full"] == 1
 
     @pytest.mark.parametrize("seeding, code", [("0 1 2 3", 0), ("0 2 1 3", 1)])
     def test_verify_seeding_plays_once(self, capsys, monkeypatch, yes_file, seeding, code):
         plays = self.count_plays(monkeypatch)
         assert run(capsys, "verify-seeding", yes_file, "--seeding", seeding)[0] == code
         assert plays == {"bracket_rounds": 1, "full": 1}
+
+    @pytest.mark.parametrize("seeding, code", [("0 1 2 3", 0), ("0 2 1 3", 1)], ids=["nice", "losing"])
+    def test_check_structure_plays_a_nice_or_losing_seeding_once(
+        self, capsys, monkeypatch, yes_file, seeding, code
+    ):
+        plays = self.count_plays(monkeypatch)
+        assert run(capsys, "check-structure", yes_file, "--seeding", seeding)[0] == code
+        assert plays == {"bracket_rounds": 1, "full": 1}
+
+    def test_check_structure_plays_each_rewrite_once(self, capsys, monkeypatch, tmp_path):
+        # the seeding of TestCheckStructure.test_non_nice_seeding_gets_repaired
+        p = tmp_path / "r.tfp"
+        p.write_text(format_tournament(gen_random(8, 1, seed=0)))
+        plays = self.count_plays(monkeypatch)
+        code, out, _ = run(capsys, "check-structure", str(p), "--seeding", "0 1 2 3 4 5 6 7")
+        assert code == 0 and "repair rounds: 1\n" in out
+        assert plays == {"bracket_rounds": 2, "full": 2}
 
 
 class TestBenchmarkArgv:

@@ -9,10 +9,10 @@ import pytest
 from conftest import T4_YES_TEXT, tournaments
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import schedules
 from schedules import seeding_from_sequence, validate_match_sequence
 
 from tfpsolve import (
-    KnockoutTrace,
     ParseError,
     Seeding,
     Tournament,
@@ -29,7 +29,6 @@ from tfpsolve import (
     is_wwf,
     parse_tournament,
     repair_to_nice,
-    simulate,
     solve,
 )
 from tfpsolve.core import (
@@ -40,7 +39,6 @@ from tfpsolve.core import (
     _parse_canonical,
     _parse_lines,
     _players,
-    _render,
     _transpose,
     write_tournament,
 )
@@ -487,6 +485,14 @@ PARSE_ERRORS = {
     "n256_last_row_bad_char": (
         _n256_with_last_row("0" * 255 + "x"), "matrix cell must be '0' or '1', got 'x'", 258, 256
     ),
+    # a header n past any array size: the reader used to size its packed
+    # rows by n before reading one, and numpy's message came out instead
+    "huge_n_no_rows": (
+        f"TFP v1\nn={2**66} vstar=0\n", "unexpected end of input: expected matrix row 0", 2, 1
+    ),
+    "huge_n_short_row": (
+        f"TFP v1\nn={2**66} vstar=0\n0\n", f"matrix row 0 has 1 cells, expected {2**66}", 3, 2
+    ),
 }
 
 
@@ -760,7 +766,7 @@ class TestSeeding:
         s = Seeding(tuple(np.arange(64)))
         assert all(type(v) is int for v in s.leaf_order)
         t = gen_random(64, 2, seed=0)
-        assert simulate(t, s) == simulate(t, Seeding(tuple(range(64))))
+        assert bracket_rounds(t, s.leaf_order) == bracket_rounds(t, range(64))
 
     def test_tournament_accepts_numpy_integers(self):
         t = gen_random(64, 2, seed=0)
@@ -807,39 +813,43 @@ class TestSeeding:
 
 class TestSimulation:
     def test_trace_identity_order(self, t4_yes):
-        trace = simulate(t4_yes, Seeding((0, 1, 2, 3)))
+        rounds = bracket_rounds(t4_yes, (0, 1, 2, 3))
+        assert rounds == [[(0, 1), (3, 2)], [(0, 3)]]
+        trace = schedules.simulate(t4_yes, Seeding((0, 1, 2, 3)))
         assert trace.rounds == (frozenset({(0, 1), (3, 2)}), frozenset({(0, 3)}))
         assert trace.survivors[0] == frozenset({0, 1, 2, 3})
         assert trace.survivors[1] == frozenset({0, 3})
         assert trace.survivors[2] == frozenset({0})
         assert trace.losers == (frozenset({1, 2}), frozenset({3}))
-        assert trace.champion == 0
+        assert trace.champion == 0 == champion_of(t4_yes, (0, 1, 2, 3))
 
     def test_other_bracket_other_champion(self, t4_yes):
         assert champion_of(t4_yes, (0, 2, 1, 3)) == 1
 
     def test_format_trace(self, t4_yes):
-        trace = simulate(t4_yes, Seeding((0, 1, 2, 3)))
-        assert format_trace(trace) == "round 1: (0,1) (3,2)\nround 2: (0,3)\nchampion: 0"
+        rounds = bracket_rounds(t4_yes, (0, 1, 2, 3))
+        assert format_trace(rounds, 0) == "round 1: (0,1) (3,2)\nround 2: (0,3)\nchampion: 0"
 
     def test_single_player(self):
         t = Tournament(n=1, vstar=0, out_masks=(0,))
-        trace = simulate(t, Seeding((0,)))
-        assert trace.rounds == () and trace.champion == 0
+        assert bracket_rounds(t, (0,)) == [] and champion_of(t, (0,)) == 0
+        assert format_trace([], 0) == "champion: 0"
 
     @given(tournaments())
     def test_survivor_counts_halve(self, t):
-        trace = simulate(t, Seeding(tuple(range(t.n))))
-        assert isinstance(trace, KnockoutTrace)
-        for r, group in enumerate(trace.survivors):
-            assert len(group) == t.n >> r
-        assert trace.champion in trace.survivors[-1]
+        rounds = bracket_rounds(t, range(t.n))
+        assert isinstance(rounds, list) and all(isinstance(r, list) for r in rounds)
+        survivors = set(t.players)
+        for r, matches in enumerate(rounds, start=1):
+            assert {v for match in matches for v in match} == survivors
+            survivors = {w for w, _ in matches}
+            assert len(survivors) == t.n >> r
+        assert survivors == {champion_of(t, range(t.n))}
 
 
 class TestMatchSequences:
     def test_simulated_rounds_validate(self, t4_yes):
-        trace = simulate(t4_yes, Seeding((0, 1, 2, 3)))
-        assert validate_match_sequence(t4_yes, [list(r) for r in trace.rounds])
+        assert validate_match_sequence(t4_yes, bracket_rounds(t4_yes, (0, 1, 2, 3)))
 
     def test_rejects_wrong_round_count(self, t4_yes):
         assert not validate_match_sequence(t4_yes, [[(0, 1), (3, 2)]])
@@ -855,8 +865,7 @@ class TestMatchSequences:
         assert not validate_match_sequence(t4_yes, [[(0, 1), (3, 2)], [(0, 1)]])
 
     def test_seeding_from_sequence_frozen(self, t4_yes):
-        trace = simulate(t4_yes, Seeding((0, 1, 2, 3)))
-        rebuilt = seeding_from_sequence([list(r) for r in trace.rounds])
+        rebuilt = seeding_from_sequence(bracket_rounds(t4_yes, (0, 1, 2, 3)))
         assert rebuilt == Seeding((0, 1, 3, 2))
 
     def test_seeding_from_sequence_rejects_empty(self):
@@ -867,8 +876,7 @@ class TestMatchSequences:
         # a recursive closure is a reference cycle that holds the schedule
         # until a collection; the reference repair rebuilds once per rewrite
         t = gen_random(64, 3, seed=2)
-        trace = simulate(t, Seeding(tuple(range(64))))
-        rounds = [list(r) for r in trace.rounds]
+        rounds = bracket_rounds(t, range(64))
         gc.collect()
         gc.disable()
         try:
@@ -876,15 +884,15 @@ class TestMatchSequences:
             assert gc.collect() == 0
         finally:
             gc.enable()
-        assert simulate(t, rebuilt).rounds == trace.rounds
+        again = bracket_rounds(t, rebuilt.leaf_order)
+        assert [set(r) for r in again] == [set(r) for r in rounds]
 
     @given(tournaments())
     def test_sequence_round_trip_preserves_matches(self, t):
-        trace = simulate(t, Seeding(tuple(range(t.n))))
-        rounds = [list(r) for r in trace.rounds]
+        rounds = bracket_rounds(t, range(t.n))
         rebuilt = seeding_from_sequence(rounds)
-        again = simulate(t, rebuilt)
-        assert [set(r) for r in again.rounds] == [set(r) for r in rounds]
+        again = bracket_rounds(t, rebuilt.leaf_order)
+        assert [set(r) for r in again] == [set(r) for r in rounds]
 
 
 def test_bracket_rounds_on_subset(t4_yes):
@@ -923,8 +931,8 @@ class TestPlayersOutOfRange:
 
 @pytest.mark.parametrize("rounds", range(7))
 def test_render_of_played_rounds_is_format_trace(rounds):
-    """The renderer over ``bracket_rounds`` prints what ``format_trace`` of
-    ``simulate`` prints, for winning and losing orders alike."""
+    """``format_trace`` over ``bracket_rounds`` prints what the frozenset
+    reference in ``schedules`` prints, for winning and losing orders alike."""
     n = 1 << rounds
     rng = np.random.default_rng(rounds)
     won = set()
@@ -933,8 +941,8 @@ def test_render_of_played_rounds_is_format_trace(rounds):
         orders = [witness.leaf_order] + [tuple(map(int, rng.permutation(n))) for _ in range(3)]
         for u in gen_random(n, seed % n, seed=seed), t:
             for order in orders:
-                want = format_trace(simulate(u, Seeding(order)))
+                want = schedules.format_trace(schedules.simulate(u, Seeding(order)))
                 champion = champion_of(u, order)
-                assert _render(bracket_rounds(u, order), champion) == want
+                assert format_trace(bracket_rounds(u, order), champion) == want
                 won.add(champion == u.vstar)
     assert won == ({True} if n == 1 else {True, False})

@@ -7,13 +7,13 @@ from arborescence import Lba, lba_to_seeding
 
 from tfpsolve import (
     Seeding,
+    bracket_rounds,
     champion_of,
     format_tournament,
     gen_planted_yes,
     gen_random,
     niceness,
     parse_tournament,
-    simulate,
 )
 from tfpsolve.core import _BLOCK
 from tfpsolve.instances import _coins
@@ -208,7 +208,7 @@ def test_planted_witness_is_usable_by_repair():
     from tfpsolve import repair_to_nice
 
     fixed, _ = repair_to_nice(t, s)
-    assert niceness(t, simulate(t, fixed)).all_nice
+    assert niceness(t, bracket_rounds(t, fixed.leaf_order)).all_nice
 
 
 def test_single_player_edge():

@@ -1,14 +1,18 @@
+import collections
+
 import numpy as np
 import pytest
 import schedules
 from arborescence import Lba, bracket_lba, is_lba, lba_to_seeding
 from conftest import tournaments
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfpsolve import (
     OracleLimitError,
     Seeding,
     Tournament,
+    bracket_rounds,
     brute_force_decide,
     brute_force_wwf,
     champion_of,
@@ -19,7 +23,6 @@ from tfpsolve import (
     is_wwf,
     niceness,
     repair_to_nice,
-    simulate,
     solve_exact,
 )
 
@@ -67,17 +70,44 @@ class TestBruteForce:
 
 class TestNiceness:
     def test_all_nice_reference(self, t4_yes):
-        rep = niceness(t4_yes, simulate(t4_yes, Seeding((0, 1, 2, 3))))
+        rep = niceness(t4_yes, bracket_rounds(t4_yes, (0, 1, 2, 3)))
         # round 1 drops conqueror 2; round 2 starts with no conqueror alive
         assert rep.per_round == (True, True) and rep.all_nice
 
     def test_non_nice_round_detected(self):
         t = gen_random(8, 1, seed=0)  # lone conqueror is player 6
         assert sorted(t.in_neighbors) == [6]
-        trace = simulate(t, Seeding((0, 1, 2, 3, 4, 5, 6, 7)))
-        assert trace.champion == 0
-        rep = niceness(t, trace)
+        rounds = bracket_rounds(t, range(8))
+        assert champion_of(t, range(8)) == 0
+        rep = niceness(t, rounds)
         assert rep.per_round == (False, True, True) and not rep.all_nice
+
+    @staticmethod
+    def assert_matches_reference(t, order):
+        """``niceness`` of the played rounds against the survivors/losers
+        reference in ``schedules``; returns the report."""
+        rep = niceness(t, bracket_rounds(t, order))
+        assert rep == schedules.niceness(t, schedules.simulate(t, Seeding(order)))
+        return rep
+
+    @settings(max_examples=200, deadline=None)
+    @given(tournaments(min_rounds=0, max_rounds=3), st.data())
+    def test_matches_reference_small(self, t, data):
+        self.assert_matches_reference(t, data.draw(st.permutations(list(t.players))))
+
+    def test_matches_reference_n64(self):
+        # each table once with the favorite its champion and once without
+        rng = np.random.default_rng(64)
+        seen = collections.Counter()
+        for seed in range(40):
+            t = gen_random(64, 1 + seed % 6, seed=seed)
+            order = tuple(map(int, rng.permutation(64)))
+            champion = champion_of(t, order)
+            for vstar in champion, (champion + 1 + seed) % 64:
+                u = Tournament(64, vstar, t.out_masks)
+                rep = self.assert_matches_reference(u, order)
+                seen[vstar == champion, rep.all_nice] += 1
+        assert set(seen) == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestRepair:
@@ -87,7 +117,7 @@ class TestRepair:
         assert rewrites == 1
         assert fixed == Seeding((0, 3, 4, 6, 7, 5, 1, 2))
         assert champion_of(t, fixed.leaf_order) == 0
-        assert niceness(t, simulate(t, fixed)).all_nice
+        assert niceness(t, bracket_rounds(t, fixed.leaf_order)).all_nice
 
     def test_already_nice_returns_unchanged(self, t4_yes):
         s = Seeding((0, 1, 2, 3))
@@ -97,6 +127,12 @@ class TestRepair:
         with pytest.raises(ValueError):
             repair_to_nice(t4_yes, Seeding((0, 2, 1, 3)))  # crowns player 1
 
+    def test_rejects_other_size(self):
+        # a smaller seeding would be played as a sub-bracket
+        t = gen_random(8, 1, seed=0)
+        with pytest.raises(ValueError, match="^seeding over 4 players does not fit n=8$"):
+            repair_to_nice(t, Seeding((0, 1, 2, 3)))
+
     @settings(max_examples=60, deadline=None)
     @given(tournaments(max_rounds=3))
     def test_repair_fixes_any_winning_seeding(self, t):
@@ -105,7 +141,7 @@ class TestRepair:
             return
         fixed, rewrites = repair_to_nice(t, s)
         assert champion_of(t, fixed.leaf_order) == t.vstar
-        assert niceness(t, simulate(t, fixed)).all_nice
+        assert niceness(t, bracket_rounds(t, fixed.leaf_order)).all_nice
         assert rewrites <= t.num_rounds
 
     def test_matches_schedule_reference(self):
