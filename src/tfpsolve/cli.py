@@ -4,10 +4,10 @@ Subcommands: ``decide`` (YES/NO), ``solve`` (YES plus a seeding and the match
 trace), ``gen`` (write a generated instance, plus a .witness sidecar when
 planted), ``verify-seeding`` (replay a seeding), ``check-structure``
 (niceness report and repair), ``bench`` (wall-clock table; timings are the
-one output that is not reproducible byte-for-byte).  ``bench`` calls
-``indeg.solve``, and ``decide`` and ``solve`` call its sibling
-``indeg._solve_played``, which also returns the rounds of the one play that
-verified the seeding: ``solve`` prints those rounds, so a solved seeding is
+one output that is not reproducible byte-for-byte).  ``decide``, ``solve``
+and ``bench`` route each file once through ``indeg._solve_played``, which
+returns the route's label and the seeding with the rounds of the one play
+that verified it: ``solve`` prints those rounds, so a solved seeding is
 played once.  ``verify-seeding`` plays its seeding once too, and
 ``check-structure`` once plus once per repair rewrite.  An instance past
 the limit of the solver it routes to exits 2 with that one limit.
@@ -43,7 +43,7 @@ from .core import (
     parse_tournament,
     write_tournament,
 )
-from .indeg import ALGOS, _solve_played, pick, solve
+from .indeg import ALGOS, _solve_played
 from .instances import gen_planted_yes, gen_random
 from .oracles import _repair_played, niceness
 
@@ -95,9 +95,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
     """``decide`` and ``solve``; ``solve`` adds to a YES the seeding and the
     rounds of the one play that verified it."""
     t = _load(args.file)
-    algo = pick(t, args.algo)
     _check_multiplier(args)
-    played = _solve_played(t, algo)
+    algo, played = _solve_played(t, args.algo)
     print("YES" if played is not None else "NO")
     print(f"algo: {algo} (auto)" if args.algo == "auto" else f"algo: {algo}")
     if played is None:
@@ -170,11 +169,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{'file':<28} {'algo':<7} {'n':>4} {'verdict':<7} {'ms':>9}")
     for path in args.files:
         t = _load(path)
-        algo = pick(t, args.algo)
         start = time.perf_counter()
-        s = solve(t, algo)
+        algo, played = _solve_played(t, args.algo)
         ms = (time.perf_counter() - start) * 1e3
-        verdict = "YES" if s is not None else "NO"
+        verdict = "YES" if played is not None else "NO"
         print(f"{Path(path).name:<28} {algo:<7} {t.n:>4} {verdict:<7} {ms:>9.1f}")
     return 0
 

@@ -1,20 +1,16 @@
 """Solver parameterized by how many players beat the favorite.
 
 Write k for the number of players that beat the favorite, its conquerors.
-A seeding that crowns the favorite survives in three regimes:
-
-* k == 0: the favorite beats everyone, so any seeding works.
-* k * 2**k >= n: the instance is small in the parameter; solve exactly.
-* otherwise: a seeding exists iff the tournament contains a *witness
-  forest* -- at most k disjoint bracket trees on 2**k players each, whose
-  roots all avoid the favorite's in-set, which jointly swallow every
-  in-neighbor, and in which the favorite appears only as a root.  Each
-  tree is held as its leaf order: a bracket its root wins, root first.
-  For k <= 2 one tree that holds every conqueror decides: a forest
-  exists iff such a tree does (``find_wwf``'s docstring carries the
-  proof), and ``find_wwf`` finds one or proves there is none by one
-  deterministic search.  k >= 3 here is out of reach.
-  YES answers carry a verified seeding, and every NO is exact.
+For 1 <= k and k*2**k < n, a seeding that crowns the favorite exists iff
+the tournament contains a *witness forest*: at most k disjoint bracket
+trees on 2**k players each, whose roots all avoid the favorite's in-set,
+which jointly swallow every in-neighbor, and in which the favorite appears
+only as a root.  Each tree is held as its leaf order: a bracket its root
+wins, root first.  For k <= 2 one tree that holds every conqueror decides:
+a forest exists iff such a tree does (``find_wwf``'s docstring carries the
+proof), and ``find_wwf`` finds one or proves there is none by one
+deterministic search.  YES answers carry a verified seeding, and every NO
+is exact.
 
 ``complete_wwf`` then grows the witness forest into a winning seeding.
 The leaf order is a concatenation: each witness tree's leaf order, then
@@ -25,23 +21,8 @@ outside its in-set, so the favorite wins every later match and comes
 first.
 
 ``solve`` is the one solver entry point, shared by the command line and
-the tests; ``pick`` resolves ``auto``.  It wraps ``_solve_played``, which
-returns the seeding together with the rounds of the one play that checked
-it, and the command line prints those rounds.  ``solve`` routes by the
-favorite's out-degree ell and in-degree k, both read off its bitmask row.
-Except for the ``brute`` oracle, which runs unfiltered, the degree
-certificate comes first: a favorite that beats fewer than log2(n) players
-cannot win log2(n) matches, so the answer is NO.  Otherwise n <= 2**ell, and the out-degree
-parameterization is exact search; ``indeg`` takes the witness-forest search
-instead when k*2**k < n.  Ahead of the exact table, up to ``EXACT_MAX_N``
-players, a second certificate runs: the favorite's depth profile, which
-answers NO when, for some d, fewer players lie within d arcs of the favorite
-than a bracket it wins needs (``solve``'s docstring carries the proof).
-``pick`` does not see it, so a NO it certifies prints the same lines as the
-table's NO and stdout is unchanged.  Each solver checks its own limit on
-entry, before any work, and raises one ValueError naming it.  The limits are
-n <= ``EXACT_MAX_N`` for ``solve_exact``, k <= 2 for ``find_wwf``, and n <= 8
-for the ``brute`` oracle's seeding enumeration.
+the tests, and ``_plan``'s table is its route.  Each solver checks its own
+limit on entry, before any work, and raises one ValueError naming it.
 """
 
 from __future__ import annotations
@@ -49,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Match,
@@ -192,24 +173,67 @@ def complete_wwf(t: Tournament, trees: Sequence[Sequence[int]]) -> Seeding:
     return Seeding(order)
 
 
-def pick(t: Tournament, algo: str = "auto") -> str:
-    """The algorithm ``solve`` runs for ``algo``: one of ``ALGOS``, with
-    ``auto`` resolved to ``outdeg`` when the degree certificate answers NO,
-    to ``exact`` up to ``EXACT_MAX_N`` players, and to ``indeg`` beyond.
-    It checks no limit: each solver checks its own when ``solve`` calls it."""
+def _plan(t: Tournament, algo: str) -> tuple[str, Callable[[Tournament], Seeding | None]]:
+    """The route ``solve`` takes for ``algo``: ``(label, answer)``, where
+    ``label`` is what ``pick`` returns and ``answer(t)`` the one call that
+    decides, a seeding or None.  The first row that holds is taken; m is
+    log2(n), ell the favorite's out-degree and k its in-degree.  This is
+    the one place that reads them to choose a route.
+
+    | `--algo` | when | label | answer |
+    |---|---|---|---|
+    | `auto` | ell < m | `outdeg` | NO by the degree bound |
+    | `auto` | n <= 16 | `exact` | as `exact` |
+    | `auto` | n > 16 | `indeg` | as `indeg` |
+    | `brute` | always | `brute` | `brute_force_decide` (limit n <= 8) |
+    | `exact`, `outdeg`, `indeg` | ell < m | as given | NO by the degree bound |
+    | `exact`, `outdeg` | n <= 16 | as given | NO by the depth profile, else `solve_exact` |
+    | `exact`, `outdeg` | n > 16 | as given | `solve_exact` (limit n <= 16) |
+    | `indeg` | k*2**k >= n | `indeg` | as `exact` |
+    | `indeg` | k = 0 | `indeg` | the identity seeding |
+    | `indeg` | otherwise | `indeg` | `find_wwf` (limit k <= 2), then `complete_wwf` |
+    """
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}, expected one of {', '.join(ALGOS)}")
-    if algo != "auto":
-        return algo
-    if t.ell < t.num_rounds:
-        return "outdeg"
-    return "exact" if t.n <= EXACT_MAX_N else "indeg"
+    degree_no, small = t.ell < t.num_rounds, t.n <= EXACT_MAX_N
+    if algo == "auto":
+        algo = "outdeg" if degree_no else "exact" if small else "indeg"
+    # solvers are read from this module on each call, so rebinding one reroutes it
+    if algo == "brute":
+        return algo, brute_force_decide
+    if degree_no:
+        return algo, lambda t: None
+    if algo != "indeg" or t.k << t.k >= t.n:
+        if not small:
+            return algo, solve_exact
+        return algo, lambda t: solve_exact(t) if _depth_profile_holds(t) else None
+    if t.k == 0:
+        return algo, lambda t: Seeding(tuple(range(t.n)))
+    return algo, lambda t: None if (trees := find_wwf(t)) is None else complete_wwf(t, trees)
+
+
+def pick(t: Tournament, algo: str = "auto") -> str:
+    """The label of the route ``solve`` takes for ``algo``, one of
+    ``ALGOS`` other than ``auto`` (see ``_plan``).  It checks no limit."""
+    return _plan(t, algo)[0]
 
 
 def _depth_profile_holds(t: Tournament) -> bool:
     """False when, for some d, fewer players lie within d arcs of the
-    favorite than a bracket it wins needs (see ``solve``): a breadth-first
-    search over ``out_masks``, one OR per player in the frontier."""
+    favorite than a bracket it wins needs: a breadth-first search over
+    ``out_masks``, one OR per player in the frontier.
+
+    Play a bracket on n = 2**m players and hang each loser off the player
+    who beat it.  That is a spanning tree rooted at the champion, the
+    binomial tree B_m: the champion beat m players, whose subtrees are
+    B_0, ..., B_{m-1}, so B_m has C(m, d) players at depth d.  Each tree
+    arc runs from a match's winner to its loser, so it is an arc of the
+    tournament, and a player at depth d lies within d arcs of the champion.
+    So if the favorite wins, then for every d at least
+    C(m, 0) + ... + C(m, d) players lie within d arcs of it.  At d = 1 that
+    is the degree bound: the favorite beats at least m players.  The first
+    depth that falls short proves NO.
+    """
     out, m = t.out_masks, t.num_rounds
     reach = frontier = 1 << t.vstar
     need = 1
@@ -228,53 +252,25 @@ def _depth_profile_holds(t: Tournament) -> bool:
 def solve(t: Tournament, algo: str = "auto") -> Seeding | None:
     """Winning seeding for the favorite, or None.
 
-    ``algo`` is one of ``ALGOS`` (see ``pick``).  Each solver checks its
-    limit on entry, before any work.  Every YES is verified by simulation
-    before it is returned: ``_solve_played`` plays the seeding once and
-    returns it with its rounds, and ``solve`` keeps the seeding.  A None on
-    the exact route comes from one of three certificates: the degree bound,
-    the depth profile (both below) or the exact table itself.  A None from the witness-forest search is
-    exact by ``find_wwf``'s proof.
-
-    Play a bracket on n = 2**m players and hang each loser off the player
-    who beat it.  That is a spanning tree rooted at the champion, the
-    binomial tree B_m: the champion beat m players, whose subtrees are
-    B_0, ..., B_{m-1}, so B_m has C(m, d) players at depth d.  Each tree
-    arc runs from a match's winner to its loser, so it is an arc of the
-    tournament, and a player at depth d lies within d arcs of the champion.
-    So if the favorite wins, then for every d at least
-    C(m, 0) + ... + C(m, d) players lie within d arcs of it.  At d = 1 that
-    is the degree bound: the favorite beats at least m players.  The depth
-    profile checks every d by a breadth-first search from the favorite, and
-    the first depth that falls short proves NO.  It runs only ahead of
-    ``solve_exact`` and only within its cap, where it costs microseconds
-    against milliseconds for the table; past the cap the table's limit
-    fires as before.
+    ``algo`` is one of ``ALGOS``, routed by ``_plan``'s table.  Every YES
+    is verified by simulation before it is returned: ``_solve_played``
+    plays the seeding once and returns it with its rounds, and ``solve``
+    keeps the seeding.
     """
-    played = _solve_played(t, algo)
+    played = _solve_played(t, algo)[1]
     return None if played is None else played[0]
 
 
-def _solve_played(t: Tournament, algo: str) -> tuple[Seeding, list[list[Match]]] | None:
-    """``solve``'s seeding with the rounds of the one play that verified
-    it, as ``bracket_rounds`` returns them, or None.  A seeding whose
-    champion is not the favorite raises AssertionError."""
-    algo = pick(t, algo)
-    k = t.k
-    if algo == "brute":
-        s = brute_force_decide(t)
-    elif t.ell < t.num_rounds:
-        return None
-    elif algo != "indeg" or k << k >= t.n:
-        s = solve_exact(t) if t.n > EXACT_MAX_N or _depth_profile_holds(t) else None
-    elif k == 0:
-        s = Seeding(tuple(range(t.n)))
-    else:
-        trees = find_wwf(t)
-        s = None if trees is None else complete_wwf(t, trees)
+def _solve_played(t: Tournament, algo: str) -> tuple[str, tuple[Seeding, list[list[Match]]] | None]:
+    """``pick``'s label and ``solve``'s seeding with the rounds of the one
+    play that verified it, as ``bracket_rounds`` returns them, or None in
+    place of the pair.  A seeding whose champion is not the favorite
+    raises AssertionError."""
+    algo, answer = _plan(t, algo)
+    s = answer(t)
     if s is None:
-        return None
+        return algo, None
     rounds = bracket_rounds(t, s.leaf_order)
     if _winner(s.leaf_order, rounds) != t.vstar:
         raise AssertionError("solver produced a seeding that does not crown the favorite")
-    return s, rounds
+    return algo, (s, rounds)

@@ -7,6 +7,7 @@ import pytest
 from conftest import T4_NO_TEXT, T4_YES_TEXT
 from test_instances import PLANTED_PINS, RANDOM_PINS
 
+import tfpsolve.indeg
 from tfpsolve import Tournament, format_tournament, gen_planted_yes, gen_random
 from tfpsolve.cli import _build_parser, main
 
@@ -112,7 +113,7 @@ class TestDecide:
         assert limit in err and "iteration" not in err and "override" not in err
 
     @pytest.mark.parametrize("m", ["-5", "0", "nan", "inf"])
-    def test_rejects_multiplier_without_miss_bound(self, capsys, tmp_path, m):
+    def test_rejects_multiplier_not_positive_and_finite(self, capsys, tmp_path, m):
         path = str(tmp_path / "p.tfp")
         run(capsys, "gen", path, "--n", "32", "--k", "2", "--seed", "0", "--planted")
         code, out, err = run(capsys, "decide", path, "--algo", "indeg", "--multiplier", m)
@@ -276,6 +277,35 @@ class TestOnePlay:
         code, out, _ = run(capsys, "check-structure", str(p), "--seeding", "0 1 2 3 4 5 6 7")
         assert code == 0 and "repair rounds: 1\n" in out
         assert plays == {"bracket_rounds": 2, "full": 2}
+
+
+class TestOneRoute:
+    """``decide``, ``solve`` and ``bench`` choose each file's route once,
+    through ``indeg._plan``, and print the label of that one choice."""
+
+    @pytest.mark.parametrize("command", ["decide", "solve", "bench"])
+    def test_each_file_is_routed_once(self, capsys, monkeypatch, yes_file, no_file, command):
+        plan, calls = tfpsolve.indeg._plan, []
+
+        def counted(t, algo):
+            calls.append(algo)
+            return plan(t, algo)
+
+        monkeypatch.setattr(tfpsolve.indeg, "_plan", counted)
+        files = [yes_file, no_file] if command == "bench" else [yes_file]
+        code, out, _ = run(capsys, command, *files)
+        assert code == 0 and out.count("exact") == 1
+        assert calls == ["auto"] * len(files)
+
+
+def test_console_script_is_main():
+    """The ``tfpsolve`` script that ``pip install`` writes resolves to ``main``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"tfpsolve": "tfpsolve.cli:main"}
+    module, attr = scripts["tfpsolve"].split(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 class TestBenchmarkArgv:

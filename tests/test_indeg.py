@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from arborescence import Lba, bracket_lba, is_lba, lba_to_seeding, merge_lbas
-from conftest import T4_YES_TEXT, tournaments
+from conftest import T4_NO_TEXT, T4_YES_TEXT, tournaments
 from hypothesis import given, settings
 from test_embed import renamed, undefeated_conqueror
 
@@ -28,6 +28,7 @@ from tfpsolve import (
     gen_planted_yes,
     gen_random,
     is_wwf,
+    parse_tournament,
     pick,
     solve,
     solve_exact,
@@ -117,8 +118,8 @@ def brute_find(t: Tournament, W: tuple[int, ...], X: int) -> bool:
     return False
 
 
-class TestPatternAndHost:
-    """The tree shape the search looks for (the pattern) and the arcs it may
+class TestTreeSearch:
+    """The bracket tree ``_find`` looks for (the pattern) and the arcs it may
     use (the host: every arc of the tournament except those into the favorite)."""
 
     def test_pattern_k1(self):
@@ -214,7 +215,7 @@ class TestDeterministicSolve:
     """``solve(t, "indeg")`` draws no random numbers, so an answer is a
     function of the instance, and it answers k = 0 without the forest search."""
 
-    def test_deterministic_given_seed(self, monkeypatch):
+    def test_draws_no_random_numbers(self, monkeypatch):
         ts = [sample(i, 32) for i in range(8)]
         before = [solve(t, "indeg") for t in ts]
         assert None in before and any(s is not None for s in before)
@@ -243,7 +244,7 @@ class TestMultiplierFlag:
     """``--multiplier`` is validated, although no solver reads it."""
 
     @pytest.mark.parametrize("m", [0.0, -5.0, math.nan, math.inf, -math.inf])
-    def test_rejects_multiplier_without_miss_bound(self, m):
+    def test_rejects_multiplier_not_positive_and_finite(self, m):
         with pytest.raises(ValueError, match="positive and finite"):
             _check_multiplier(argparse.Namespace(multiplier=m))
         _check_multiplier(argparse.Namespace(multiplier=20.0))
@@ -475,6 +476,78 @@ class TestSolveIndeg:
             assert champion_of(t, got.leaf_order) == t.vstar
 
 
+EXACT = ("auto", "exact", "outdeg")  # the algos routed as `exact` at n <= 16
+PROFILE_EXACT = ("_depth_profile_holds", "solve_exact")
+FOREST = ("find_wwf", "complete_wwf")
+BRUTE_CAP = "seeding enumeration is capped at 8 players, got n=16"
+EXACT_CAP = "exact solver is capped at 16 players, got n=32"
+FOREST_K = "the witness-forest search covers k <= 2, got k=3"
+
+# one row per (instance, algo): the label, the solvers called and the answer
+ROUTES = [
+    *[
+        (n, a, "exact" if a == "auto" else a, PROFILE_EXACT, "YES")
+        for n in ("n1", "n2-win")
+        for a in EXACT
+    ],
+    *[(n, "brute", "brute", ("brute_force_decide",), "YES") for n in ("n1", "n2-win")],
+    *[(n, "indeg", "indeg", (), "YES") for n in ("n1", "n2-win")],  # k = 0
+    *[("n2-lose", a, "outdeg" if a == "auto" else a, (), "NO") for a in (*EXACT, "indeg")],
+    ("n2-lose", "brute", "brute", ("brute_force_decide",), "NO"),
+    ("t4-yes", "auto", "exact", PROFILE_EXACT, "YES"),
+    ("t4-yes", "brute", "brute", ("brute_force_decide",), "YES"),
+    ("t4-yes", "exact", "exact", PROFILE_EXACT, "YES"),
+    ("t4-yes", "outdeg", "outdeg", PROFILE_EXACT, "YES"),
+    ("t4-yes", "indeg", "indeg", FOREST, "YES"),
+    *[("t4-no", a, "outdeg" if a == "auto" else a, (), "NO") for a in (*EXACT, "indeg")],
+    ("t4-no", "brute", "brute", ("brute_force_decide",), "NO"),
+    *[(f"n16-k{k}", a, "exact", PROFILE_EXACT, "YES") for k in (1, 2, 5) for a in EXACT[:2]],
+    ("n16-k1", "indeg", "indeg", FOREST, "YES"),
+    ("n16-k2", "indeg", "indeg", FOREST, "YES"),
+    ("n16-k5", "indeg", "indeg", PROFILE_EXACT, "YES"),  # 5 * 2**5 >= 16
+    *[(f"n16-k{k}", "brute", "brute", ("brute_force_decide",), BRUTE_CAP) for k in (1, 2, 5)],
+    *[(f"n32-k{k}", "exact", "exact", ("solve_exact",), EXACT_CAP) for k in range(5)],
+    *[(f"n32-k{k}", a, "indeg", FOREST, "YES") for k in (1, 2) for a in ("auto", "indeg")],
+    *[("n32-k0", a, "indeg", (), "YES") for a in ("auto", "indeg")],
+    *[("n32-k3", a, "indeg", ("find_wwf",), FOREST_K) for a in ("auto", "indeg")],
+    *[("n32-k4", a, "indeg", ("solve_exact",), EXACT_CAP) for a in ("auto", "indeg")],  # 64 >= 32
+    *[("n32-degree", a, "outdeg" if a == "auto" else a, (), "NO") for a in (*EXACT[:2], "indeg")],
+]
+
+
+def route_instance(name: str) -> Tournament:
+    """The instances of ``test_routing_table``: the smallest brackets, the
+    reference pair, and ``gen_random`` files at n = 16 and 32 by k."""
+    fixed = {
+        "n1": Tournament(n=1, vstar=0, out_masks=(0,)),
+        "n2-win": Tournament(n=2, vstar=0, out_masks=(0b10, 0)),
+        "n2-lose": Tournament(n=2, vstar=0, out_masks=(0, 0b01)),
+        "t4-yes": parse_tournament(T4_YES_TEXT),
+        "t4-no": parse_tournament(T4_NO_TEXT),
+        "n32-degree": gen_random(32, 28, seed=0),  # ell = 3 < 5 rounds
+    }
+    if name in fixed:
+        return fixed[name]
+    n, k = (int(part[1:]) for part in name.split("-"))
+    return gen_random(n, k, seed=0)
+
+
+def test_readme_lists_the_routing_table():
+    """The README's routing table has the rows of ``_plan``'s."""
+
+    def table(text: str) -> list[str]:
+        lines = [line.strip() for line in text.splitlines()]
+        start = lines.index("| `--algo` | when | label | answer |")
+        end = start
+        while end < len(lines) and lines[end].startswith("|"):
+            end += 1
+        return lines[start:end]
+
+    rows = table(tfpsolve.indeg._plan.__doc__)
+    readme = Path(__file__).parents[1] / "README.md"
+    assert len(rows) > 5 and table(readme.read_text()) == rows
+
+
 class TestSolveGate:
     def test_pick_resolves_auto(self, t4_yes, t4_no):
         assert pick(t4_no) == "outdeg"  # ell = 1 < 2 rounds
@@ -508,6 +581,28 @@ class TestSolveGate:
         with pytest.raises(ValueError, match=limit):
             solve(gen_random(n, k, seed=0), algo)
 
+    @pytest.mark.parametrize(
+        "instance, algo, label, solvers, answer", ROUTES, ids=[f"{r[0]}-{r[1]}" for r in ROUTES]
+    )
+    def test_routing_table(self, monkeypatch, instance, algo, label, solvers, answer):
+        """Each row of ``_plan``'s table, over (n, k, ell, algo): the label
+        ``pick`` gives, the solvers ``solve`` calls in order, and its answer
+        or the limit that one of them raised."""
+        ran = []
+
+        def counted(name, fn):
+            return lambda *args: ran.append(name) or fn(*args)
+
+        for name in ("brute_force_decide", *PROFILE_EXACT, *FOREST):
+            monkeypatch.setattr(tfpsolve.indeg, name, counted(name, getattr(tfpsolve.indeg, name)))
+        t = route_instance(instance)
+        assert pick(t, algo) == label
+        try:
+            got = "NO" if solve(t, algo) is None else "YES"
+        except ValueError as exc:
+            got = str(exc)
+        assert (tuple(ran), got) == (solvers, answer)
+
     @pytest.mark.parametrize("algo", ["brute", "exact", "outdeg", "indeg"])
     def test_every_yes_is_simulated(self, t4_yes, monkeypatch, algo):
         import tfpsolve.indeg
@@ -522,14 +617,16 @@ class TestSolveGate:
 
 
 def test_solve_keeps_the_seeding_of_its_one_play():
-    """``_solve_played`` returns ``solve``'s seeding with the rounds that
-    ``bracket_rounds`` plays over it, on the exact, brute and forest routes."""
+    """``_solve_played`` returns ``pick``'s label and ``solve``'s seeding with
+    the rounds that ``bracket_rounds`` plays over it, on the exact, brute and
+    forest routes."""
     cases = [t for _, t in profile_corpus(60)]
     cases += [gen_planted_yes(n, k, seed=n + k)[0] for n in (32, 64, 128) for k in (1, 2)]
     yes = 0
     for t in cases:
         for algo in ("auto", "indeg") + (("brute",) if t.n <= 8 else ()):
-            played = _solve_played(t, algo)
+            label, played = _solve_played(t, algo)
+            assert label == pick(t, algo)
             assert (played and played[0]) == solve(t, algo)
             if played is not None:
                 seeding, rounds = played
